@@ -82,42 +82,6 @@ struct TraceConfig
  */
 std::atomic<const TraceConfig *> activeTraceConfig{nullptr};
 
-/** Warn (once per process) when the deprecated env spelling is set. */
-void
-warnDeprecatedTraceEnvOnce()
-{
-    static const bool warned = [] {
-        if (std::getenv("DMDC_TRACE") ||
-            std::getenv("DMDC_DEBUG_VIOLATIONS")) {
-            detail::logMessage(LogLevel::Warn,
-                "DMDC_TRACE / DMDC_DEBUG_VIOLATIONS are deprecated; "
-                "use --trace=<channels|all> (and --trace-out=<path> "
-                "for the Chrome trace)");
-        }
-        return true;
-    }();
-    (void)warned;
-}
-
-/**
- * Channel set seeded from the deprecated environment variables; used
- * only until the first setTraceChannels() call.
- */
-const TraceConfig &
-envTraceConfig()
-{
-    static const TraceConfig *config = [] {
-        auto *seeded = new TraceConfig;
-        if (const char *env = std::getenv("DMDC_TRACE"))
-            seeded->parse(env);
-        // Pre-trace-facility spelling, kept working.
-        if (std::getenv("DMDC_DEBUG_VIOLATIONS"))
-            seeded->channels.push_back("violations");
-        return seeded;
-    }();
-    return *config;
-}
-
 } // namespace
 
 namespace detail
@@ -187,24 +151,14 @@ traceMessage(const char *channel, const char *fmt, ...)
 bool
 traceEnabled(const char *channel)
 {
-    warnDeprecatedTraceEnvOnce();
-    if (const TraceConfig *config =
-            activeTraceConfig.load(std::memory_order_acquire)) {
-        return config->enabled(channel);
-    }
-    return envTraceConfig().enabled(channel);
-}
-
-void
-warnIfDeprecatedTraceEnv()
-{
-    warnDeprecatedTraceEnvOnce();
+    const TraceConfig *config =
+        activeTraceConfig.load(std::memory_order_acquire);
+    return config && config->enabled(channel);
 }
 
 void
 setTraceChannels(const std::string &spec)
 {
-    warnDeprecatedTraceEnvOnce();
     auto *config = new TraceConfig;
     config->parse(spec);
     activeTraceConfig.store(config, std::memory_order_release);

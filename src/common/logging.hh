@@ -9,8 +9,7 @@
  * debug events gated by named channels, configured with
  * setTraceChannels() — normally from the --trace=<channels|all> flag
  * (see common/trace_sink.hh for the structured sink sharing the same
- * channel set). The DMDC_TRACE / DMDC_DEBUG_VIOLATIONS environment
- * variables remain as deprecated aliases that warn once per process.
+ * channel set). Every channel is off until the first such call.
  *
  * Thread-safety: each message is formatted into a private buffer and
  * emitted with a single stdio call, so concurrent campaign workers
@@ -42,10 +41,8 @@ void traceMessage(const char *channel, const char *fmt, ...);
 } // namespace detail
 
 /**
- * Whether @p channel is enabled. The channel set comes from the last
- * setTraceChannels() call; before any such call it is seeded from the
- * deprecated DMDC_TRACE / DMDC_DEBUG_VIOLATIONS environment variables
- * (which warn once when present).
+ * Whether @p channel is enabled by the last setTraceChannels() call
+ * (false before any such call).
  */
 bool traceEnabled(const char *channel);
 
@@ -53,17 +50,9 @@ bool traceEnabled(const char *channel);
  * Replace the active trace-channel set with @p spec (comma-separated
  * channel names, or "all"; empty disables every channel). Callable
  * any number of times from any thread — tests and the dmdc_serve
- * daemon reconfigure channels without re-exec. Overrides the
- * deprecated environment variables.
+ * daemon reconfigure channels without re-exec.
  */
 void setTraceChannels(const std::string &spec);
-
-/**
- * Warn once if the deprecated DMDC_TRACE / DMDC_DEBUG_VIOLATIONS
- * environment variables are set. The CLI layer calls this at startup
- * so the deprecation is visible even when no trace() site fires.
- */
-void warnIfDeprecatedTraceEnv();
 
 /** Report a simulator bug and abort. */
 template <typename... Args>

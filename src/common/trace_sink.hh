@@ -28,7 +28,7 @@
  *
  * Multi-process campaigns: each process writes its own trace file
  * (shard workers derive "trace.shard0of2.json" from the base path the
- * way checkpoint manifests do) and tools/trace_merge combines them —
+ * way heartbeat files do) and tools/trace_merge combines them —
  * process ids keep the streams apart inside one merged timeline.
  */
 
@@ -213,7 +213,7 @@ std::string tracePathWithTag(const std::string &path,
 /**
  * Derive the per-process trace path for shard @p index of @p count:
  * "trace.json" -> "trace.shard0of2.json" (unchanged when count <= 1).
- * Mirrors shardStatePath() so multi-process campaigns never collide
+ * Mirrors shardFilePath() so multi-process campaigns never collide
  * on one output file.
  */
 std::string traceShardPath(const std::string &path, unsigned index,

@@ -21,9 +21,10 @@
  * Transient failures retry with bounded backoff; the campaign
  * completes every surviving run and reports a failure manifest in the
  * JSON journal. On-disk cache entries carry a CRC32 and are
- * quarantined (never trusted) when corrupt, and an optional
- * checkpoint manifest (campaign_state.json) makes interrupted
- * campaigns resumable.
+ * quarantined (never trusted) when corrupt. The run cache is also
+ * the resume mechanism: rerunning an interrupted campaign against
+ * the same cache directory serves every completed run from disk and
+ * executes only the rest.
  */
 
 #ifndef DMDC_SIM_CAMPAIGN_RUNNER_HH
@@ -39,7 +40,6 @@
 #include "sim/cache_store.hh"
 #include "sim/campaign_shard.hh"
 #include "sim/run_error.hh"
-#include "sim/run_scheduler.hh"
 #include "sim/simulator.hh"
 
 namespace dmdc
@@ -50,13 +50,6 @@ struct CampaignConfig
 {
     /** Worker threads; 0 selects ThreadPool::defaultConcurrency(). */
     unsigned jobs = 0;
-    /**
-     * How runs are placed on worker threads (--scheduler). Both
-     * policies seed per-worker queues with the same LPT partition
-     * --shard uses; WorkStealing additionally rebalances when cost
-     * estimates miss (see run_scheduler.hh).
-     */
-    SchedulerKind scheduler = SchedulerKind::WorkStealing;
     /** Enable the in-process + on-disk run cache. */
     bool useCache = true;
     /** On-disk cache directory (created on demand). */
@@ -73,18 +66,6 @@ struct CampaignConfig
     bool failFast = false;
 
     /**
-     * Checkpoint manifest path; empty disables checkpointing. The
-     * manifest is rewritten atomically after every completed run.
-     */
-    std::string statePath;
-    /**
-     * Resume from an existing manifest at statePath: previously
-     * completed runs are served from the run cache, everything else
-     * executes. A fingerprint mismatch falls back to a fresh start.
-     */
-    bool resume = false;
-
-    /**
      * On-disk cache size cap in bytes; least-recently-used entries
      * are evicted after each campaign to stay under it. 0 = unlimited.
      */
@@ -95,17 +76,16 @@ struct CampaignConfig
      * (--shard=i/N). The work list is partitioned deterministically
      * (see shardAssignment()); runs owned by other shards complete
      * immediately with RunStatus::OutOfShard and are not journaled.
-     * With a statePath set, each shard checkpoints to its own derived
-     * manifest (shardStatePath()). Default 0/1 = the whole campaign.
+     * Default 0/1 = the whole campaign.
      */
     ShardSpec shard;
 
     /**
      * Heartbeat file base path (--heartbeat); empty disables.
-     * Sharded processes derive their own file with shardStatePath(),
-     * exactly like the checkpoint manifest. A heartbeat is published
-     * atomically after every run that reaches a terminal status, so a
-     * supervisor can distinguish a slow worker from a hung one.
+     * Sharded processes derive their own file with shardFilePath().
+     * A heartbeat is published atomically after every run that
+     * reaches a terminal status, so a supervisor can distinguish a
+     * slow worker from a hung one.
      */
     std::string heartbeatPath;
 
@@ -305,9 +285,9 @@ void flushCampaignJournal();
  * Request a graceful campaign interruption (async-signal-safe; called
  * from the worker's SIGINT/SIGTERM handler). Runs not yet started
  * complete as Skipped("interrupted by signal"), in-flight runs finish
- * and are checkpointed/cached normally, and the campaign returns with
- * its manifest and journal consistent — a --resume re-simulates only
- * what the interrupt skipped.
+ * and are cached normally, and the campaign returns with its journal
+ * consistent — rerunning the same command over the same cache
+ * re-simulates only what the interrupt skipped.
  */
 void requestCampaignInterrupt();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -102,19 +103,46 @@ shardSpecName(const ShardSpec &spec)
 }
 
 std::string
-shardStatePath(const std::string &statePath, const ShardSpec &spec)
+shardFilePath(const std::string &path, const ShardSpec &spec)
 {
-    if (statePath.empty() || !spec.active())
-        return statePath;
+    if (path.empty() || !spec.active())
+        return path;
     const std::string suffix = ".shard" + std::to_string(spec.index) +
                                "of" + std::to_string(spec.count);
-    const std::size_t slash = statePath.find_last_of('/');
-    const std::size_t dot = statePath.find_last_of('.');
+    const std::size_t slash = path.find_last_of('/');
+    const std::size_t dot = path.find_last_of('.');
     if (dot == std::string::npos ||
         (slash != std::string::npos && dot < slash)) {
-        return statePath + suffix;
+        return path + suffix;
     }
-    return statePath.substr(0, dot) + suffix + statePath.substr(dot);
+    return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+std::string
+runIdentity(const SimOptions &opt)
+{
+    std::ostringstream os;
+    os << opt.benchmark << '|' << opt.scheme << '|' << opt.configLevel
+       << '|' << opt.warmupInsts << '|' << opt.runInsts << '|'
+       << opt.invalidationsPer1kCycles << '|' << opt.coherence << '|'
+       << opt.safeLoads << '|' << opt.sqFilter << '|' << opt.numYlaQw
+       << '|' << opt.tableEntriesOverride << '|' << opt.queueEntries
+       << '|' << (opt.observers.empty() && !opt.tweak ? 0 : 1);
+    return os.str();
+}
+
+std::string
+campaignFingerprint(const std::vector<SimOptions> &runs)
+{
+    std::uint64_t h = 0;
+    for (const SimOptions &opt : runs) {
+        const std::string id = runIdentity(opt);
+        h = hashBytes(id.data(), id.size(), h);
+    }
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
 }
 
 // ---- partition -------------------------------------------------------
@@ -130,7 +158,7 @@ shardAssignment(const std::vector<SimOptions> &runs, unsigned shardCount)
     // config) triples — legal within one campaign — can never be split
     // across shards, which would break the merger's disjointness
     // invariant. The grouping + LPT greedy live in run_scheduler.cc
-    // now, shared with the thread-level schedulers; the assignment is
+    // now, shared with the thread-level scheduler; the assignment is
     // still byte-for-byte the one earlier releases computed.
     const std::vector<RunGroup> groups = groupRunsByIdentity(runs);
     const std::vector<unsigned> bins =

@@ -2,9 +2,9 @@
  * @file
  * Campaign sharding and journal merging.
  *
- * One campaign — the fingerprinted ordered work list that PR 3's
- * checkpoint manifest already captures — can be executed by N
- * cooperating processes. Each process is handed a ShardSpec (`--shard
+ * One campaign — a fingerprinted ordered work list (see
+ * campaignFingerprint()) — can be executed by N cooperating
+ * processes. Each process is handed a ShardSpec (`--shard
  * =i/N`), deterministically derives its slice of the work list with
  * shardAssignment(), runs it through the ordinary runChecked()
  * machinery against the shared concurrent-writer-safe `.dmdc_cache/`,
@@ -63,15 +63,25 @@ bool parseShardSpec(const std::string &text, ShardSpec &out,
 std::string shardSpecName(const ShardSpec &spec);
 
 /**
- * Derive the per-shard checkpoint manifest path from the campaign's
- * base @p statePath: "dir/state.json" -> "dir/state.shard0of2.json"
+ * Derive a per-shard file path (heartbeat, trace) from the campaign's
+ * base @p path: "dir/heartbeat.json" -> "dir/heartbeat.shard0of2.json"
  * (suffix precedes the last extension; appended when there is none).
- * Shard processes must not share one manifest file; the campaign
- * fingerprint inside each manifest still covers the *full* work list,
- * so a resumed shard verifies it belongs to the same campaign.
+ * Cooperating shard processes must never share one such file.
  */
-std::string shardStatePath(const std::string &statePath,
-                           const ShardSpec &spec);
+std::string shardFilePath(const std::string &path, const ShardSpec &spec);
+
+/**
+ * Stable identity of one run: every behavior-affecting SimOptions
+ * field (attached observers / tweaks are flagged, not hashed). Unlike
+ * the cache key it omits the policy-registry source fingerprint, so
+ * it survives rebuilds. Fault-injector decisions hash it; the output
+ * format is therefore frozen.
+ */
+std::string runIdentity(const SimOptions &opt);
+
+/** Order-sensitive fingerprint over a campaign's full run list; the
+ *  shard journal header's "campaign" field chains these. */
+std::string campaignFingerprint(const std::vector<SimOptions> &runs);
 
 /**
  * Deterministically assign each run in @p runs to one of
@@ -93,7 +103,7 @@ std::vector<unsigned> shardAssignment(const std::vector<SimOptions> &runs,
 /**
  * Journal identity of one run ("benchmark|scheme|config"): the
  * co-location key shared by the shard partitioner, the run
- * schedulers, and the dmdc_serve dedup map.
+ * scheduler, and the dmdc_serve dedup map.
  */
 std::string journalIdentity(const std::string &benchmark,
                             const std::string &scheme, unsigned config);

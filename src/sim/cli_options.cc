@@ -336,10 +336,6 @@ CampaignCliOptions::addTo(CliParser &parser)
                  "retries for transient run failures");
     parser.flag("fail-fast", &config.failFast,
                 "stop launching runs after the first failure");
-    parser.value("state", &config.statePath,
-                 "checkpoint manifest path");
-    parser.flag("resume", &config.resume,
-                "resume from the checkpoint manifest");
     parser.value("shard", &shardText,
                  "run slice i of N of the campaign (i/N)");
     parser.value("json", &jsonPath, "write the campaign journal here");
@@ -347,8 +343,6 @@ CampaignCliOptions::addTo(CliParser &parser)
                 "strip nondeterministic journal fields + sort");
     parser.value("heartbeat", &config.heartbeatPath,
                  "publish per-run heartbeats at this base path");
-    parser.value("scheduler", &schedulerText,
-                 "run placement: work-stealing (default) or static-lpt");
     parser.value("trace", &trace.channels,
                  "trace channels (comma list or 'all'); captures a "
                  "Chrome trace");
@@ -371,13 +365,6 @@ CampaignCliOptions::finalize(std::string &err)
     config.useCache = !noCache;
     if (!shardText.empty() &&
         !parseShardSpec(shardText, config.shard, err))
-        return false;
-    if (config.resume && config.statePath.empty()) {
-        err = "--resume requires --state=<path>";
-        return false;
-    }
-    if (!schedulerText.empty() &&
-        !parseSchedulerKind(schedulerText, config.scheduler, err))
         return false;
     config.cacheMaxBytes = cacheMaxMb * 1024ull * 1024ull;
     workerMode = !config.heartbeatPath.empty();
@@ -410,7 +397,6 @@ CampaignCliOptions::finalize(std::string &err)
 void
 CampaignCliOptions::apply() const
 {
-    warnIfDeprecatedTraceEnv();
     CampaignRunner::configureGlobal(config);
     if (!jsonPath.empty())
         setCampaignJournal(jsonPath, jsonDeterministic);
@@ -437,13 +423,11 @@ SupervisorCliOptions::addTo(CliParser &parser)
     parser.value("shard-retries", &options.shardRetries,
                  "restarts allowed per shard");
     parser.value("launch-dir", &options.launchDir,
-                 "scratch dir for state/heartbeats/journals/logs");
+                 "scratch dir for heartbeats/journals/logs");
     parser.value("worker", &options.workerBinary,
                  "worker binary (default: dmdc_sim next to launcher)");
     parser.value("out", &options.journalPath,
                  "merged journal path (default <launch-dir>/merged.json)");
-    parser.flag("resume", &options.resume,
-                "resume an interrupted launch");
     parser.flag("verbose", &options.verbose,
                 "log every supervision event");
     parser.value("trace", &trace.channels,
@@ -471,12 +455,11 @@ SupervisorCliOptions::finalize(const std::string &argv0,
             ? std::string(".") : argv0.substr(0, slash);
         options.workerBinary = dir + "/dmdc_sim";
     }
-    // The supervisor owns the sharding, journaling, and checkpoint
+    // The supervisor owns the sharding, journaling, and heartbeat
     // topology; a forwarded flag in that namespace would silently
     // fight it.
     static const char *const kReserved[] = {
-        "--shard", "--json", "--json-deterministic", "--state",
-        "--heartbeat", "--resume",
+        "--shard", "--json", "--json-deterministic", "--heartbeat",
     };
     for (const std::string &arg : options.workerArgs) {
         for (const char *r : kReserved) {
@@ -508,7 +491,6 @@ SupervisorCliOptions::finalize(const std::string &argv0,
 void
 SupervisorCliOptions::applyTracing() const
 {
-    warnIfDeprecatedTraceEnv();
     if (!trace.enabled())
         return;
     TraceOptions resolved = trace;

@@ -26,6 +26,7 @@
 #include "sim/fault_injector.hh"
 #include "sim/heartbeat.hh"
 #include "sim/run_error.hh"
+#include "sim/run_scheduler.hh"
 #include "common/trace_sink.hh"
 #include "sim/ticket_log.hh"
 
@@ -494,7 +495,6 @@ struct ServiceDaemon::Impl
         int activeRefs = 0;   ///< references from live campaigns
         bool done = false;
         bool ran = false;     ///< executed (vs. skipped/cancelled)
-        bool startedRun = false;
         bool finishLogged = false;
         SimResult result;
         RunOutcome outcome;
@@ -516,6 +516,7 @@ struct ServiceDaemon::Impl
         unsigned ordinal = 0; ///< accept order (fault-site attempt)
         std::thread thread;
         std::atomic<bool> finished{false};
+        bool stopAfterReply = false; ///< a shutdown op was dispatched
         std::unordered_set<std::string> held;
     };
 
@@ -534,7 +535,7 @@ struct ServiceDaemon::Impl
     std::size_t queued = 0; ///< tickets submitted, not yet claimed
     bool draining = false;  ///< stop accepted; skip queued tickets
 
-    std::unique_ptr<RunScheduler> sched;
+    RunScheduler sched;
     std::vector<std::thread> workers;
     std::vector<std::unique_ptr<Conn>> connections;
     std::unordered_set<int> liveFds; ///< open connection sockets
@@ -571,7 +572,7 @@ struct ServiceDaemon::Impl
         std::vector<PendingTicket> pending;
         for (const auto &t : tickets) {
             if (!t->finishLogged)
-                pending.push_back({t->key, t->spec, t->startedRun});
+                pending.push_back({t->key, t->spec});
         }
         return pending;
     }
@@ -675,10 +676,7 @@ struct ServiceDaemon::Impl
         // runner's memo cache's.
         CampaignConfig wc = daemon.options_.campaign;
         wc.jobs = 1;
-        wc.scheduler = SchedulerKind::StaticLpt;
         wc.shard = ShardSpec{};
-        wc.statePath.clear();
-        wc.resume = false;
         wc.heartbeatPath.clear();
         wc.failFast = false;
         CampaignRunner runner(wc);
@@ -695,7 +693,7 @@ struct ServiceDaemon::Impl
                     return; // stopping and drained
                 --queued;
             }
-            if (!sched->next(w, item)) {
+            if (!sched.next(w, item)) {
                 // A stale size hint made the claim miss; put it back
                 // and retry (the mutex round-trip resynchronizes).
                 std::lock_guard<std::mutex> lock(m);
@@ -717,13 +715,9 @@ struct ServiceDaemon::Impl
             t = tickets[idx].get();
             cancelled = (t->activeRefs == 0);
             skip = cancelled || draining;
-            if (!skip && !t->startedRun) {
-                t->startedRun = true;
-                ticketLog.appendStart(t->key);
-                noteTicketAppendLocked();
+            if (!skip)
                 traceInstantArg(serviceTrace().cat,
                                 serviceTrace().start, idx);
-            }
         }
         SimResult result;
         RunOutcome outcome;
@@ -749,7 +743,7 @@ struct ServiceDaemon::Impl
                 item.identity = t->identity;
                 item.cost = static_cast<double>(
                     t->opt.warmupInsts + t->opt.runInsts);
-                sched->submit(std::move(item));
+                sched.submit(std::move(item));
                 ++queued;
                 workCv.notify_one();
                 return;
@@ -821,7 +815,6 @@ struct ServiceDaemon::Impl
                 // revive and requeue instead of serving the stale
                 // skip.
                 t.done = false;
-                t.startedRun = false;
                 t.finishLogged = false;
                 t.outcome = RunOutcome{};
                 ticketLog.appendSubmit(t.key, t.spec);
@@ -833,7 +826,7 @@ struct ServiceDaemon::Impl
                 item.identity = t.identity;
                 item.cost = static_cast<double>(
                     t.opt.warmupInsts + t.opt.runInsts);
-                sched->submit(std::move(item));
+                sched.submit(std::move(item));
                 ++queued;
                 workCv.notify_one();
             }
@@ -858,7 +851,7 @@ struct ServiceDaemon::Impl
         item.identity = tickets[idx]->identity;
         item.cost = static_cast<double>(
             tickets[idx]->opt.warmupInsts + tickets[idx]->opt.runInsts);
-        sched->submit(std::move(item));
+        sched.submit(std::move(item));
         ++queued;
         workCv.notify_one();
         return idx;
@@ -1134,7 +1127,6 @@ struct ServiceDaemon::Impl
         if (op == "stats")
             return handleStats();
         if (op == "shutdown") {
-            daemon.requestStop();
             {
                 std::lock_guard<std::mutex> lock(m);
                 draining = true;
@@ -1142,6 +1134,10 @@ struct ServiceDaemon::Impl
             traceInstant(serviceTrace().cat, serviceTrace().drain);
             workCv.notify_all();
             doneCv.notify_all();
+            // The stop itself is requested by connectionLoop once this
+            // ack is on the wire: the accept loop's drain shuts down
+            // every live socket, this one included.
+            conn.stopAfterReply = true;
             return "{\"ok\":true,\"stopping\":true}";
         }
         bumpStatLocked(&ServiceStats::protocolErrors);
@@ -1190,6 +1186,7 @@ struct ServiceDaemon::Impl
                 break;
             }
             const std::string reply = dispatch(text, conn);
+            bool sent = false;
             if (FaultInjector::global().injectFrameTruncate(
                     text, conn.ordinal)) {
                 // Chaos: emit a torn reply — full header, half the
@@ -1205,15 +1202,21 @@ struct ServiceDaemon::Impl
                 if (writeExact(fd, hdr, sizeof(hdr), dl, werr))
                     writeExact(fd, reply.data(), reply.size() / 2, dl,
                                werr);
-                break;
-            }
-            if (!writeFrameTimed(fd, reply, ioMs, err)) {
+            } else if (!writeFrameTimed(fd, reply, ioMs, err)) {
                 if (err.find("timed out") != std::string::npos)
                     bumpStatLocked(&ServiceStats::ioTimeouts);
                 if (daemon.options_.verbose)
                     warn("serve: %s", err.c_str());
-                break;
+            } else {
+                sent = true;
             }
+            // Only now may the accept loop start the drain, which
+            // shuts this socket down: a shutdown ack written first is
+            // never lost.
+            if (conn.stopAfterReply)
+                daemon.requestStop();
+            if (!sent)
+                break;
         }
         {
             std::lock_guard<std::mutex> lock(m);
@@ -1300,13 +1303,12 @@ ServiceDaemon::start(std::string &err)
         ? options_.workers : std::thread::hardware_concurrency();
     if (n == 0)
         n = 2;
-    impl_->sched = makeRunScheduler(SchedulerKind::WorkStealing);
-    impl_->sched->seed({}, n);
+    impl_->sched.seed({}, n);
 
     // Replay the durable ticket log before the workers spawn: every
     // submit without a finish is work a previous daemon accepted but
     // never completed, and a client may reconnect expecting it.
-    if (options_.durableTickets && options_.campaign.useCache &&
+    if (options_.campaign.useCache &&
         !options_.campaign.cacheDir.empty()) {
         impl_->ticketLog = TicketLog(options_.campaign.cacheDir);
         const TicketLogReplay rep = impl_->ticketLog.replay();
@@ -1340,7 +1342,6 @@ ServiceDaemon::start(std::string &err)
             // part of any live campaign, but it must execute rather
             // than be skipped as cancelled.
             ++impl_->tickets[idx]->activeRefs;
-            impl_->tickets[idx]->startedRun = p.started;
             ++impl_->stats.recovered;
         }
         // Fold the replayed history down to just the pending records.

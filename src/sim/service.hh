@@ -44,9 +44,9 @@
  * such a boundary are not comparable (same rule the shard journal
  * merger enforces).
  *
- * Crash safety: with durable tickets enabled (the default when a
- * cache directory is configured) every ticket's submit/start/finish
- * is journaled to `<cache-dir>/tickets.log` (sim/ticket_log.hh). A
+ * Crash safety: whenever a cache directory is configured, every
+ * ticket's submit and finish is journaled to
+ * `<cache-dir>/tickets.log` (sim/ticket_log.hh). A
  * daemon restarted over the same cache directory replays unfinished
  * tickets into its queue before accepting connections, so work
  * submitted before a SIGKILL completes after a restart and is never
@@ -162,9 +162,6 @@ struct ServiceOptions
      *  Covers the documented submit-then-exit / fetch-later workflow
      *  (<= 0 disables reaping). */
     int orphanGraceMs = 600000;
-    /** Journal tickets to <cache-dir>/tickets.log and replay
-     *  unfinished work on start (no-op without a cache dir). */
-    bool durableTickets = true;
     /** Test hook: shrink accepted sockets' SO_SNDBUF so reply
      *  backpressure triggers quickly (0 = kernel default). */
     int sendBufBytes = 0;

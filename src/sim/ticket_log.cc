@@ -166,12 +166,6 @@ TicketLog::appendSubmit(const std::string &key, const std::string &spec)
 }
 
 void
-TicketLog::appendStart(const std::string &key)
-{
-    append("start", key, "", "");
-}
-
-void
 TicketLog::appendFinish(const std::string &key,
                         const std::string &status)
 {
@@ -199,11 +193,17 @@ TicketLog::replay() const
             ++result.corrupt;
             continue;
         }
+        // "start" records come from older daemons and were never acted
+        // on: a recovered ticket re-executes whether or not it had
+        // started. They stay parseable so such a log does not read as
+        // corrupt; the startup compaction drops them.
+        if (op == "start")
+            continue;
         auto it = index.find(key);
         if (op == "submit") {
             if (it == index.end()) {
                 index.emplace(key, result.pending.size());
-                result.pending.push_back({key, spec, false});
+                result.pending.push_back({key, spec});
             } else {
                 // Re-submit after a finish (or a duplicate submit):
                 // the latest spec wins and the ticket is pending
@@ -211,18 +211,13 @@ TicketLog::replay() const
                 PendingTicket &t = result.pending[it->second];
                 if (t.key.empty())
                     ++result.finished;
-                t = {key, spec, false};
+                t = {key, spec};
             }
-        } else if (it != index.end() &&
-                   !result.pending[it->second].key.empty()) {
-            if (op == "start") {
-                result.pending[it->second].started = true;
-            } else { // finish
-                result.pending[it->second] = PendingTicket{};
-            }
+        } else if (it != index.end()) { // finish
+            result.pending[it->second] = PendingTicket{};
         }
-        // start/finish for an unknown key: compaction dropped its
-        // submit or the line was torn; nothing to recover.
+        // A finish for an unknown key: compaction dropped its submit
+        // or the line was torn; nothing to recover.
     }
     std::vector<PendingTicket> pending;
     for (auto &t : result.pending) {
@@ -246,11 +241,8 @@ TicketLog::compact(const std::vector<PendingTicket> &pending)
     if (!lock.held())
         return false;
     std::ostringstream body;
-    for (const auto &t : pending) {
+    for (const auto &t : pending)
         body << formatTicketRecord("submit", t.key, t.spec, "");
-        if (t.started)
-            body << formatTicketRecord("start", t.key, "", "");
-    }
     return writeFileAtomic(logPath(), body.str());
 }
 

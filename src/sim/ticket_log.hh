@@ -15,7 +15,6 @@
  *   {"v":1,"op":"submit","key":K,"spec":S,"crc":C}   ticket created;
  *       S is the serviceRunSpecJson() of the run, embedded as an
  *       escaped string so a restarted daemon can re-queue it
- *   {"v":1,"op":"start","key":K,"crc":C}             execution began
  *   {"v":1,"op":"finish","key":K,"status":T,"crc":C} terminal state
  *
  * Replay classifies every key by its latest record: a submit without
@@ -56,7 +55,6 @@ struct PendingTicket
 {
     std::string key;  ///< cacheKey() of the run
     std::string spec; ///< serviceRunSpecJson() payload
-    bool started = false;
 };
 
 /** Aggregate of one replay() pass. */
@@ -85,7 +83,6 @@ class TicketLog
      *  demand). Best-effort: a failed append costs recovery coverage
      *  for that ticket, never correctness. */
     void appendSubmit(const std::string &key, const std::string &spec);
-    void appendStart(const std::string &key);
     void appendFinish(const std::string &key, const std::string &status);
 
     /** Scan the whole log, CRC-checking every record. Unparsable or
@@ -93,10 +90,9 @@ class TicketLog
     TicketLogReplay replay() const;
 
     /**
-     * Rewrite the log to exactly one submit (plus start, when the
-     * ticket had begun) per pending ticket, under the exclusive
-     * flock. Drops finished history. False when the lock is
-     * contended or the rewrite fails.
+     * Rewrite the log to exactly one submit per pending ticket, under
+     * the exclusive flock. Drops finished history. False when the
+     * lock is contended or the rewrite fails.
      */
     bool compact(const std::vector<PendingTicket> &pending);
 

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests of campaign sharding: shard-spec parsing, the deterministic
- * partition function, per-shard state-file naming, and the journal
- * merger — including the central guarantee that N shard processes'
- * journals merge into a file byte-identical to an uninterrupted
- * single-process campaign, and that a chaos-interrupted shard
- * converges on resume.
+ * partition function, per-shard file naming, and the journal merger —
+ * including the central guarantee that N shard processes' journals
+ * merge into a file byte-identical to an uninterrupted single-process
+ * campaign, and that a chaos-interrupted shard converges when rerun
+ * over the same run cache.
  */
 
 #include <gtest/gtest.h>
@@ -93,22 +93,22 @@ TEST(ShardSpec, RejectsMalformedSpecs)
     }
 }
 
-TEST(ShardSpec, StatePathNaming)
+TEST(ShardSpec, FilePathNaming)
 {
     const ShardSpec spec{1, 4};
-    EXPECT_EQ(shardStatePath("state.json", spec),
-              "state.shard1of4.json");
-    EXPECT_EQ(shardStatePath("out/campaign.state.json", spec),
-              "out/campaign.state.shard1of4.json");
-    EXPECT_EQ(shardStatePath("no_extension", spec),
+    EXPECT_EQ(shardFilePath("heartbeat.json", spec),
+              "heartbeat.shard1of4.json");
+    EXPECT_EQ(shardFilePath("out/campaign.heartbeat.json", spec),
+              "out/campaign.heartbeat.shard1of4.json");
+    EXPECT_EQ(shardFilePath("no_extension", spec),
               "no_extension.shard1of4");
     // A dot only in a directory component is not an extension.
-    EXPECT_EQ(shardStatePath("out.d/state", spec),
-              "out.d/state.shard1of4");
+    EXPECT_EQ(shardFilePath("out.d/heartbeat", spec),
+              "out.d/heartbeat.shard1of4");
     // Inactive spec / empty path pass through untouched.
-    EXPECT_EQ(shardStatePath("state.json", ShardSpec{0, 1}),
-              "state.json");
-    EXPECT_EQ(shardStatePath("", spec), "");
+    EXPECT_EQ(shardFilePath("heartbeat.json", ShardSpec{0, 1}),
+              "heartbeat.json");
+    EXPECT_EQ(shardFilePath("", spec), "");
 }
 
 // ---- partition -------------------------------------------------------
@@ -219,7 +219,7 @@ class CampaignShard : public ::testing::Test
     fs::path
     runShard(const std::vector<SimOptions> &runs, unsigned index,
              unsigned count, const fs::path &cacheDir,
-             const std::string &statePath = "", bool resume = false)
+             CampaignStats *stats = nullptr)
     {
         const fs::path journal =
             scratch_ / ("shard" + std::to_string(index) + "of" +
@@ -229,10 +229,10 @@ class CampaignShard : public ::testing::Test
         cfg.cacheDir = cacheDir.string();
         cfg.shard = ShardSpec{index, count};
         cfg.maxRetries = 0;
-        cfg.statePath = statePath;
-        cfg.resume = resume;
         CampaignRunner runner(cfg);
         (void)runner.runChecked(runs);
+        if (stats)
+            *stats = runner.lastStats();
         flushCampaignJournal();
         setCampaignJournal("");
         return journal;
@@ -421,10 +421,8 @@ TEST_F(CampaignShard, ChaosShardConvergesOnResume)
 {
     const std::vector<SimOptions> runs = smallCampaign();
     const fs::path cache = scratch_ / "cache"; // cold: faults can fire
-    const std::string state = (scratch_ / "state.json").string();
 
-    // Pass 1: both shards run under injected chaos with no retries;
-    // each writes its own checkpoint manifest.
+    // Pass 1: both shards run under injected chaos with no retries.
     FaultSpec spec;
     spec.runThrowP = 0.5;
     spec.seed = 11;
@@ -436,7 +434,6 @@ TEST_F(CampaignShard, ChaosShardConvergesOnResume)
         cfg.cacheDir = cache.string();
         cfg.shard = ShardSpec{i, 2};
         cfg.maxRetries = 0;
-        cfg.statePath = state;
         CampaignRunner runner(cfg);
         failures += runner.runChecked(runs).degradedRuns();
     }
@@ -444,23 +441,24 @@ TEST_F(CampaignShard, ChaosShardConvergesOnResume)
         << "chaos seed produced no failures; pick another seed";
     FaultInjector::global().configure({});
 
-    // Shard manifests must not collide on one path.
-    EXPECT_TRUE(fs::exists(
-        shardStatePath(state, ShardSpec{0, 2})));
-    EXPECT_TRUE(fs::exists(
-        shardStatePath(state, ShardSpec{1, 2})));
-
-    // Pass 2: resume both shards with faults off. Survivors come from
-    // the shared cache, casualties re-execute; the merged journal is
-    // byte-identical to an undisturbed serial campaign.
+    // Pass 2: rerun both shards over the same cache with faults off.
+    // Survivors come from the shared cache, casualties re-execute; the
+    // merged journal is byte-identical to an undisturbed serial
+    // campaign.
     std::vector<ShardJournal> shards(2);
+    std::size_t simulated = 0;
+    std::size_t disk_hits = 0;
     std::string err;
     for (unsigned i = 0; i < 2; ++i) {
-        const fs::path path =
-            runShard(runs, i, 2, cache, state, /*resume=*/true);
+        CampaignStats stats;
+        const fs::path path = runShard(runs, i, 2, cache, &stats);
+        simulated += stats.simulated;
+        disk_hits += stats.diskHits;
         ASSERT_TRUE(loadShardJournal(path.string(), shards[i], err))
             << err;
     }
+    EXPECT_EQ(simulated, failures);
+    EXPECT_EQ(disk_hits, runs.size() - failures);
     ShardJournal merged;
     ASSERT_TRUE(mergeShardJournals(shards, merged, err)) << err;
     for (const JournalEntry &e : merged.entries)

@@ -3,8 +3,8 @@
  * Tests of the fault-tolerance layer: structured errors and option
  * validation, the deterministic fault injector, per-run isolation and
  * retries in the campaign engine, watchdog timeouts, cache corruption
- * handling (quarantine + recompute), LRU eviction, and
- * checkpoint/resume with bit-identical journals.
+ * handling (quarantine + recompute), LRU eviction, and resume over
+ * the run cache with bit-identical journals.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include <sstream>
 
 #include "sim/campaign_runner.hh"
-#include "sim/campaign_state.hh"
+#include "sim/campaign_shard.hh"
 #include "sim/fault_injector.hh"
 #include "sim/run_error.hh"
 #include "sim/simulator.hh"
@@ -571,45 +571,7 @@ TEST_F(FaultTolerance, QuarantineCapAgesOutOldestFiles)
     EXPECT_GE(again.lastStats().quarantineEvicted, 1u);
 }
 
-// ---- checkpoint / resume ---------------------------------------------
-
-TEST_F(FaultTolerance, StateRoundTripsThroughDisk)
-{
-    CampaignState state;
-    state.fingerprint = "00d1ce00facade00";
-    CampaignStateEntry e;
-    e.benchmark = "gzip";
-    e.scheme = "dmdc-global";
-    e.configLevel = 3;
-    e.status = RunStatus::Failed;
-    e.category = "sim-invariant";
-    e.error = "it said \"boom\" and a back\\slash";
-    e.attempts = 3;
-    state.entries.push_back(e);
-    e.status = RunStatus::Ok;
-    e.category.clear();
-    e.error.clear();
-    e.attempts = 1;
-    state.entries.push_back(e);
-
-    const std::string path = (scratch_ / "state.json").string();
-    ASSERT_TRUE(saveCampaignState(path, state));
-    CampaignState loaded;
-    std::string err;
-    ASSERT_TRUE(loadCampaignState(path, loaded, err)) << err;
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.fingerprint, state.fingerprint);
-    EXPECT_EQ(loaded.entries[0].status, RunStatus::Failed);
-    EXPECT_EQ(loaded.entries[0].error, state.entries[0].error);
-    EXPECT_EQ(loaded.entries[0].attempts, 3u);
-    EXPECT_EQ(loaded.entries[1].status, RunStatus::Ok);
-
-    std::string bad_err;
-    CampaignState missing;
-    EXPECT_FALSE(loadCampaignState(
-        (scratch_ / "nope.json").string(), missing, bad_err));
-    EXPECT_FALSE(bad_err.empty());
-}
+// ---- resume over the run cache -------------------------------------
 
 TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
 {
@@ -621,7 +583,6 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
     };
     const std::string ref_path = (scratch_ / "ref.json").string();
     const std::string res_path = (scratch_ / "res.json").string();
-    const std::string state = (scratch_ / "state.json").string();
 
     // Reference: uninterrupted serial campaign.
     {
@@ -635,6 +596,7 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
     }
 
     // Interrupted: chaos kills some runs mid-campaign.
+    std::size_t ok_runs = 0;
     {
         setCampaignJournal("");
         FaultSpec spec;
@@ -644,12 +606,10 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_res").string();
         cfg.maxRetries = 0;
-        cfg.statePath = state;
         CampaignRunner runner(cfg);
         const CampaignResult cr = runner.runChecked(runs);
         // A mixed outcome exercises both resume paths: served-from-
         // cache for the survivors, fresh execution for the casualties.
-        std::size_t ok_runs = 0;
         for (const RunOutcome &oc : cr.outcomes)
             ok_runs += oc.ok();
         ASSERT_FALSE(cr.allOk()) << "chaos seed produced no failures; "
@@ -659,58 +619,23 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
         FaultInjector::global().configure({});
     }
 
-    // Resume: completed runs come from the cache, the rest execute.
+    // Resume = the same campaign over the same cache: survivors come
+    // from disk, only the casualties execute.
     {
         setCampaignJournal(res_path, /*deterministic=*/true);
         CampaignConfig cfg;
         cfg.cacheDir = (scratch_ / "cache_res").string();
-        cfg.statePath = state;
-        cfg.resume = true;
         CampaignRunner runner(cfg);
         ASSERT_TRUE(runner.runChecked(runs).allOk());
         flushCampaignJournal();
+        EXPECT_EQ(runner.lastStats().simulated, runs.size() - ok_runs);
+        EXPECT_EQ(runner.lastStats().diskHits, ok_runs);
     }
 
     const std::string ref = slurp(ref_path);
     const std::string res = slurp(res_path);
     ASSERT_FALSE(ref.empty());
     EXPECT_EQ(ref, res);
-
-    // The manifest converged to all-ok.
-    CampaignState final_state;
-    std::string err;
-    ASSERT_TRUE(loadCampaignState(state, final_state, err)) << err;
-    for (const CampaignStateEntry &e : final_state.entries)
-        EXPECT_EQ(e.status, RunStatus::Ok);
-}
-
-TEST_F(FaultTolerance, ResumeRejectsForeignManifest)
-{
-    const std::string state = (scratch_ / "state.json").string();
-    const std::vector<SimOptions> first = {
-        quickOptions("gzip", "baseline")};
-    const std::vector<SimOptions> second = {
-        quickOptions("swim", "yla")};
-    {
-        CampaignConfig cfg = cachedConfig();
-        cfg.statePath = state;
-        CampaignRunner runner(cfg);
-        ASSERT_TRUE(runner.runChecked(first).allOk());
-    }
-    // A different campaign resuming the same path starts fresh
-    // (fingerprint mismatch) and rewrites the manifest.
-    CampaignConfig cfg = cachedConfig();
-    cfg.statePath = state;
-    cfg.resume = true;
-    CampaignRunner runner(cfg);
-    ASSERT_TRUE(runner.runChecked(second).allOk());
-
-    CampaignState loaded;
-    std::string err;
-    ASSERT_TRUE(loadCampaignState(state, loaded, err)) << err;
-    EXPECT_EQ(loaded.fingerprint, campaignFingerprint(second));
-    ASSERT_EQ(loaded.entries.size(), 1u);
-    EXPECT_EQ(loaded.entries[0].benchmark, "swim");
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * a real socketpair, run-spec and JSON-string round trips, the
  * version handshake's refusal path against a fake daemon, and a full
  * in-process daemon serving two overlapping client campaigns with
- * exactly-once dedup and canonical journals.
+ * exactly-once dedup and canonical journals, and the shutdown ack
+ * surviving the drain.
  */
 
 #include <gtest/gtest.h>
@@ -428,6 +429,40 @@ TEST(ServiceDaemonTest, CancelSkipsQueuedWork)
     }
     server.join();
     fs::remove_all(cache);
+}
+
+TEST(ServiceDaemonTest, ShutdownAckSurvivesDrain)
+{
+    // The drain shuts down every live socket; the shutdown op's own
+    // reply must reach its client first. A second, idle client keeps
+    // the drain's socket sweep non-trivial on every cycle.
+    const std::string sock = "svc_shutdown_ack.sock";
+    ServiceOptions opts;
+    opts.socketPath = sock;
+    opts.workers = 1;
+    opts.campaign.useCache = false;
+
+    for (int cycle = 0; cycle < 100; ++cycle) {
+        ServiceDaemon daemon(opts);
+        std::string err;
+        ASSERT_TRUE(daemon.start(err))
+            << "cycle " << cycle << ": " << err;
+        std::thread server([&] { daemon.serve(); });
+
+        ServiceClient idle, stopper;
+        ASSERT_TRUE(idle.connect(sock, err)) << err;
+        ASSERT_TRUE(stopper.connect(sock, err)) << err;
+        JsonValue reply;
+        const bool acked =
+            stopper.request("{\"op\":\"shutdown\"}", reply, err);
+        server.join();
+        ASSERT_TRUE(acked) << "cycle " << cycle << ": " << err;
+        const JsonValue *stopping = reply.find("stopping");
+        ASSERT_NE(stopping, nullptr) << "cycle " << cycle;
+        EXPECT_TRUE(stopping->kind == JsonValue::Kind::Bool &&
+                    stopping->boolean)
+            << "cycle " << cycle;
+    }
 }
 
 } // namespace

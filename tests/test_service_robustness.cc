@@ -609,8 +609,7 @@ TEST(ServiceRobustness, ReplaysUnfinishedTicketsOnStart)
     fs::remove_all(cache);
 
     // Fabricate the log a killed daemon would leave behind: one
-    // ticket fully finished, one accepted (and even started) but
-    // never completed.
+    // ticket fully finished, one accepted but never completed.
     {
         TicketLog log(cache);
         log.appendSubmit("k-done",
@@ -619,7 +618,6 @@ TEST(ServiceRobustness, ReplaysUnfinishedTicketsOnStart)
         log.appendSubmit(
             "k-pending",
             serviceRunSpecJson(quickRun("gzip", "baseline")));
-        log.appendStart("k-pending");
     }
 
     ServiceOptions opts;

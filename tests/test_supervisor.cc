@@ -3,9 +3,9 @@
  * Tests of the supervised shard launcher: heartbeat file round-trips,
  * the clock-agnostic staleness monitor, worker-fault spec parsing, and
  * end-to-end supervision through the real dmdc_sim / campaign_launch
- * binaries — crash -> restart -> resume convergence to the serial
- * journal, SIGTERM draining to a resumable manifest, and retry
- * exhaustion.
+ * binaries — crash -> restart convergence to the serial journal,
+ * SIGTERM draining, retry exhaustion, and resuming both by rerunning
+ * the same launch over the same run cache.
  *
  * The integration tests receive the binary locations from CMake via
  * the DMDC_SIM_BIN / CAMPAIGN_LAUNCH_BIN compile definitions.
@@ -282,7 +282,7 @@ class SupervisedLaunch : public ::testing::Test
     }
 
     /** campaign_launch command line (shared cache + launch dir per
-     *  fixture, so sequential invocations resume each other). */
+     *  fixture, so a repeated invocation resumes its predecessor). */
     std::string
     launchCmd(const std::string &extra) const
     {
@@ -313,7 +313,7 @@ TEST_F(SupervisedLaunch, CrashedWorkersRestartAndConverge)
     EXPECT_EQ(slurp(scratch_ / "merged.json"), serial);
 }
 
-TEST_F(SupervisedLaunch, RetryExhaustionFailsWithManifestIntact)
+TEST_F(SupervisedLaunch, RetryExhaustionFailsWithCacheIntact)
 {
     const int rc = shell("DMDC_FAULT='worker-crash:p=1,seed=3' " +
                          launchCmd("--shard-retries=0") +
@@ -321,22 +321,25 @@ TEST_F(SupervisedLaunch, RetryExhaustionFailsWithManifestIntact)
     EXPECT_EQ(rc, kExitFailure);
     EXPECT_FALSE(fs::exists(scratch_ / "merged.json"));
 
-    // Both shards checkpointed before dying: their manifests survive
-    // for a later --resume.
-    for (const char *name :
-         {"state.shard0of2.json", "state.shard1of2.json"}) {
-        EXPECT_TRUE(fs::exists(scratch_ / "launch" / name)) << name;
+    // Each shard cached at least its first freshly simulated run
+    // before the injected crash: that work survives in the run cache.
+    std::size_t cached = 0;
+    std::error_code ec;
+    for (const auto &de :
+         fs::directory_iterator(scratch_ / "chaos_cache", ec)) {
+        if (de.is_regular_file() && de.path().extension() == ".json")
+            ++cached;
     }
+    EXPECT_GE(cached, 2u);
 
-    // And a resumed chaos-free launch converges from them.
+    // And the same launch, rerun chaos-free, converges from it.
     const std::string serial = serialJournal();
-    EXPECT_EQ(shell(launchCmd("--shard-retries=0 --resume") +
-                    " > /dev/null 2>&1"),
+    EXPECT_EQ(shell(launchCmd("--shard-retries=0") + " > /dev/null 2>&1"),
               0);
     EXPECT_EQ(slurp(scratch_ / "merged.json"), serial);
 }
 
-TEST_F(SupervisedLaunch, SigtermDrainsToResumableManifest)
+TEST_F(SupervisedLaunch, SigtermDrainsAndRelaunchConverges)
 {
     const std::string serial = serialJournal();
     ASSERT_FALSE(serial.empty());
@@ -381,10 +384,9 @@ TEST_F(SupervisedLaunch, SigtermDrainsToResumableManifest)
         EXPECT_EQ(rc, kExitInterrupted);
     }
 
-    // A --resume relaunch completes the campaign either way, without
-    // losing the work the drained workers checkpointed.
-    EXPECT_EQ(shell(launchCmd("--shard-retries=2 --resume") +
-                    " > /dev/null 2>&1"),
+    // Rerunning the same launch completes the campaign either way,
+    // without losing the work the drained workers cached.
+    EXPECT_EQ(shell(launchCmd("--shard-retries=2") + " > /dev/null 2>&1"),
               0);
     EXPECT_EQ(slurp(scratch_ / "merged.json"), serial);
 }

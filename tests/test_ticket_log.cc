@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "common/crc32.hh"
 #include "sim/ticket_log.hh"
 
 namespace dmdc
@@ -55,6 +57,19 @@ class TicketLogTest : public ::testing::Test
         out << text;
     }
 
+    /** A well-formed "start" record, as older daemons appended when a
+     *  ticket began executing (CRC over "start|<key>"). */
+    static std::string
+    legacyStartRecord(const std::string &key)
+    {
+        const std::string covered = "start|" + key;
+        char crc[16];
+        std::snprintf(crc, sizeof(crc), "%08x",
+                      crc32(covered.data(), covered.size()));
+        return "{\"v\":1,\"op\":\"start\",\"key\":\"" + key +
+               "\",\"crc\":\"" + crc + "\"}\n";
+    }
+
     std::string dir_;
 };
 
@@ -63,10 +78,8 @@ TEST_F(TicketLogTest, LifecycleRoundTrips)
     TicketLog log(dir_);
     ASSERT_TRUE(log.enabled());
     log.appendSubmit("k1", "{\"benchmark\":\"gzip\"}");
-    log.appendStart("k1");
     log.appendFinish("k1", "ok");
     log.appendSubmit("k2", "{\"benchmark\":\"swim\"}");
-    log.appendStart("k2");
     log.appendSubmit("k3", "{\"benchmark\":\"applu\"}");
 
     const TicketLogReplay rep = log.replay();
@@ -77,9 +90,25 @@ TEST_F(TicketLogTest, LifecycleRoundTrips)
     // roughly in the order clients asked.
     EXPECT_EQ(rep.pending[0].key, "k2");
     EXPECT_EQ(rep.pending[0].spec, "{\"benchmark\":\"swim\"}");
-    EXPECT_TRUE(rep.pending[0].started);
     EXPECT_EQ(rep.pending[1].key, "k3");
-    EXPECT_FALSE(rep.pending[1].started);
+}
+
+TEST_F(TicketLogTest, LegacyStartRecordsAreSkippedNotCorrupt)
+{
+    // Older daemons also logged "start"; replay must neither count
+    // those lines as damage nor let them change a ticket's fate.
+    TicketLog log(dir_);
+    log.appendSubmit("k1", "{}");
+    appendRaw(log, legacyStartRecord("k1"));
+    log.appendSubmit("k2", "{}");
+    appendRaw(log, legacyStartRecord("k2"));
+    log.appendFinish("k2", "ok");
+
+    const TicketLogReplay rep = log.replay();
+    EXPECT_EQ(rep.corrupt, 0u);
+    EXPECT_EQ(rep.finished, 1u);
+    ASSERT_EQ(rep.pending.size(), 1u);
+    EXPECT_EQ(rep.pending[0].key, "k1");
 }
 
 TEST_F(TicketLogTest, DisabledLogIsInert)
@@ -109,7 +138,6 @@ TEST_F(TicketLogTest, ResubmitAfterFinishIsPendingAgain)
 {
     TicketLog log(dir_);
     log.appendSubmit("k", "{\"v\":1}");
-    log.appendStart("k");
     log.appendFinish("k", "cancelled");
     log.appendSubmit("k", "{\"v\":2}");
 
@@ -117,7 +145,6 @@ TEST_F(TicketLogTest, ResubmitAfterFinishIsPendingAgain)
     EXPECT_EQ(rep.finished, 1u);
     ASSERT_EQ(rep.pending.size(), 1u);
     EXPECT_EQ(rep.pending[0].spec, "{\"v\":2}"); // latest spec wins
-    EXPECT_FALSE(rep.pending[0].started);
 }
 
 TEST_F(TicketLogTest, TornLastLineIsSkipped)
@@ -169,7 +196,7 @@ TEST_F(TicketLogTest, FinishForUnknownKeyIsIgnored)
 {
     TicketLog log(dir_);
     log.appendFinish("ghost", "ok");
-    log.appendStart("ghost2");
+    appendRaw(log, legacyStartRecord("ghost2"));
     log.appendSubmit("real", "{}");
     const TicketLogReplay rep = log.replay();
     EXPECT_EQ(rep.corrupt, 0u);
@@ -183,25 +210,24 @@ TEST_F(TicketLogTest, CompactionKeepsOnlyPending)
     for (int i = 0; i < 50; ++i) {
         const std::string key = "done" + std::to_string(i);
         log.appendSubmit(key, "{}");
-        log.appendStart(key);
         log.appendFinish(key, "ok");
     }
     log.appendSubmit("live", "{\"benchmark\":\"gzip\"}");
-    log.appendStart("live");
+    appendRaw(log, legacyStartRecord("live"));
 
     TicketLogReplay rep = log.replay();
     ASSERT_EQ(rep.pending.size(), 1u);
     ASSERT_TRUE(log.compact(rep.pending));
 
-    // The rewritten log holds exactly the pending ticket, with its
-    // started marker, and nothing of the finished history.
+    // The rewritten log holds exactly the pending ticket's submit:
+    // no finished history and no legacy start line.
     rep = log.replay();
     EXPECT_EQ(rep.finished, 0u);
     EXPECT_EQ(rep.corrupt, 0u);
     ASSERT_EQ(rep.pending.size(), 1u);
     EXPECT_EQ(rep.pending[0].key, "live");
     EXPECT_EQ(rep.pending[0].spec, "{\"benchmark\":\"gzip\"}");
-    EXPECT_TRUE(rep.pending[0].started);
+    EXPECT_EQ(readLog(log).find("\"op\":\"start\""), std::string::npos);
     EXPECT_LT(fs::file_size(log.logPath()), 400u);
 }
 

@@ -21,7 +21,6 @@
  *                           client is dropped, not waited on
  *     --orphan-grace=<ms>   grace before campaigns nobody holds are
  *                           cancelled/forgotten (0 = never)
- *     --no-ticket-log       disable the durable ticket log
  *     --verbose             log connections and completed runs
  *     --trace=<channels>    trace channels (comma list or 'all');
  *                           Chrome trace-event JSON written at exit
@@ -40,11 +39,12 @@
  * finish, queued work is skipped, and the socket is removed.
  *
  * Crash recovery: with a cache directory configured, accepted work
- * is journaled to <cache-dir>/tickets.log. A daemon killed outright
- * (SIGKILL, OOM, power loss) and restarted over the same cache
- * directory replays unfinished tickets and completes them; clients
- * reconnect (dmdc_client retries automatically) and resubmit, with
- * the cache deduplicating everything that already finished.
+ * is journaled to <cache-dir>/tickets.log. Resuming is restarting: a
+ * daemon killed outright (SIGKILL, OOM, power loss) and restarted
+ * with the same command over the same cache directory replays
+ * unfinished tickets and completes them; clients reconnect
+ * (dmdc_client retries automatically) and resubmit, with the cache
+ * deduplicating everything that already finished.
  */
 
 #include <csignal>
@@ -85,7 +85,6 @@ main(int argc, char **argv)
     std::uint64_t orphan_grace_ms =
         static_cast<std::uint64_t>(opt.orphanGraceMs);
     bool no_cache = false;
-    bool no_ticket_log = false;
     TraceOptions trace_opt;
     std::string trace_out;
 
@@ -116,8 +115,6 @@ main(int argc, char **argv)
               "per-frame read/write deadline, ms (0 = none)");
     cli.value("orphan-grace", &orphan_grace_ms,
               "unheld-campaign grace before reaping, ms (0 = never)");
-    cli.flag("no-ticket-log", &no_ticket_log,
-             "disable the durable ticket log");
     cli.flag("verbose", &opt.verbose,
              "log connections and completed runs");
     cli.value("trace", &trace_opt.channels,
@@ -152,7 +149,6 @@ main(int argc, char **argv)
         cli.failUsage("--trace-out requires --trace=<channels|all>");
     if (!trace_out.empty())
         trace_opt.outPath = trace_out;
-    warnIfDeprecatedTraceEnv();
     if (trace_opt.enabled()) {
         traceConfigure(trace_opt);
         traceSetThreadName("serve-main");
@@ -163,7 +159,6 @@ main(int argc, char **argv)
     opt.maxQueuedTickets = static_cast<std::size_t>(max_queued);
     opt.ioTimeoutMs = static_cast<int>(io_timeout_ms);
     opt.orphanGraceMs = static_cast<int>(orphan_grace_ms);
-    opt.durableTickets = !no_ticket_log;
 
     // A client that dies mid-reply must surface as EPIPE on the
     // daemon's write, never as a process-killing SIGPIPE. The frame

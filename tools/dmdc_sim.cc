@@ -29,9 +29,6 @@
  *     --max-retries=<n>     retries for transient failures (default 2)
  *     --fail-fast           stop scheduling runs after a failure and
  *                           exit non-zero if anything failed
- *     --state=<path>        write a checkpoint manifest after each run
- *     --resume              resume the campaign in --state (completed
- *                           runs are served from the run cache)
  *     --shard=<i>/<N>       run only shard i (0-based) of an N-way
  *                           deterministic partition of the campaign
  *     --json=<path>         write the campaign journal / failure
@@ -63,7 +60,10 @@
  *
  * Repeat invocations with identical options are served from the run
  * cache (near-instant); --stats always re-simulates because the full
- * statistics tree only exists on a live pipeline.
+ * statistics tree only exists on a live pipeline. The cache is also
+ * how an interrupted or degraded campaign resumes: rerun the same
+ * command over the same --cache-dir and only the runs that did not
+ * complete execute.
  */
 
 #include <cstdio>
@@ -223,14 +223,14 @@ runCampaign(const std::vector<SimOptions> &runs,
     }
     flushCampaignJournal();
 
-    // A signal-interrupted campaign has flushed its manifest and
-    // journal; the distinct exit code tells a supervisor (or script)
-    // that --resume will converge. Checked before the failure rules:
+    // A signal-interrupted campaign has flushed its journal; the
+    // distinct exit code tells a supervisor (or script) that rerunning
+    // the same command will converge. Checked before the failure rules:
     // an interrupt that lands before any run succeeds is still an
     // interrupt, not a failed campaign.
     if (campaignInterruptRequested()) {
-        std::printf("campaign interrupted; state checkpointed, "
-                    "--resume to continue\n");
+        std::printf("campaign interrupted; rerun the same command "
+                    "to continue\n");
         return kExitInterrupted;
     }
 
@@ -358,9 +358,9 @@ main(int argc, char **argv)
                                  "single run, not a campaign\n");
             return kExitUsage;
         }
-        // Two-stage SIGINT/SIGTERM: finish the in-flight run,
-        // checkpoint, flush the journal, exit kExitInterrupted;
-        // signal again to die immediately.
+        // Two-stage SIGINT/SIGTERM: finish the in-flight run, flush
+        // the journal, exit kExitInterrupted; signal again to die
+        // immediately.
         installWorkerSignalHandlers();
         return runCampaign(runs, campaign_cfg);
     }

@@ -3,13 +3,13 @@
  * Low-overhead campaign tracing: per-thread lock-free ring buffers
  * feeding a Chrome trace-event (chrome://tracing / Perfetto) exporter.
  *
- * The legacy trace() channels in common/logging.hh print one stderr
- * line per event through stdio — fine for debugging a single run,
- * unusably slow at campaign scale and invisible to tools. This sink
- * records ~32-byte POD events into a fixed-capacity per-thread ring
- * (overwrite-oldest, sequence-stamped) and defers all formatting to
- * export time, so a traced campaign keeps its parallel throughput and
- * an untraced one pays a single relaxed atomic load per call site.
+ * Printing one stderr line per event through stdio is fine for
+ * debugging a single run but unusably slow at campaign scale and
+ * invisible to tools. This sink records ~32-byte POD events into a
+ * fixed-capacity per-thread ring (overwrite-oldest, sequence-stamped)
+ * and defers all formatting to export time, so a traced campaign
+ * keeps its parallel throughput and an untraced one pays a single
+ * relaxed atomic load per call site.
  *
  * Vocabulary: duration spans (TraceSpan, exported as Chrome "X"
  * complete events), instants ("i") and counters ("C"). Category and
@@ -122,13 +122,12 @@ std::uint16_t traceNameId(const std::string &name);
 constexpr std::size_t kTraceMaxNames = 4096;
 
 /**
- * (Re)configure process-wide tracing: sets the active channel set
- * (also mirrored into the legacy trace() channel gate so fprintf
- * channels and sink categories never disagree), the output path, and
- * the per-thread ring capacity, and arms an at-exit export. Empty
- * channels disables capture. Callable repeatedly — the daemon and
- * tests reconfigure without re-exec; rings created under an old
- * capacity are retired (generation bump) rather than resized.
+ * (Re)configure process-wide tracing: sets the active channel set,
+ * the output path, and the per-thread ring capacity, and arms an
+ * at-exit export. Empty channels disables capture. Callable
+ * repeatedly — the daemon and tests reconfigure without re-exec;
+ * rings created under an old capacity are retired (generation bump)
+ * rather than resized.
  */
 void traceConfigure(const TraceOptions &options);
 

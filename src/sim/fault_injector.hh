@@ -22,8 +22,7 @@
  *   worker-hang   stop the worker's heartbeat after a freshly
  *                 simulated run and wedge (supervisor chaos)
  *   serve-crash   SIGKILL the dmdc_serve daemon right after a freshly
- *                 simulated ticket's finish record reaches the
- *                 durable ticket log (service chaos)
+ *                 simulated ticket's result is cached (service chaos)
  *   frame-truncate  the daemon writes only half of a reply frame and
  *                 drops the connection (torn-frame chaos for clients)
  *   client-stall  the client pauses between sending a request and
@@ -35,9 +34,9 @@
  *                 catch a real checking bug
  *
  * The serve-crash site follows the worker-* progress rule: it fires
- * only after a freshly simulated run has been cached and its finish
- * record logged, so every daemon death strictly follows progress and
- * a restart-loop converges in at most one crash per unique run.
+ * only after a freshly simulated run has been cached, so every daemon
+ * death strictly follows progress and a restart-loop converges in at
+ * most one crash per unique run.
  *
  * The worker-* sites model process-level failures for the shard
  * supervisor. They fire only after a *freshly simulated* run has been

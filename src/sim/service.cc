@@ -28,7 +28,6 @@
 #include "sim/run_error.hh"
 #include "sim/run_scheduler.hh"
 #include "common/trace_sink.hh"
-#include "sim/ticket_log.hh"
 
 namespace dmdc
 {
@@ -479,8 +478,7 @@ parseServiceRunSpec(const JsonValue &spec, SimOptions &out,
 /**
  * All mutable daemon state lives here, behind one mutex. Simulation
  * happens outside the lock; everything else (ticket dedup, campaign
- * bookkeeping, journal assembly, ticket-log appends) is cheap and
- * stays inside it.
+ * bookkeeping, journal assembly) is cheap and stays inside it.
  */
 struct ServiceDaemon::Impl
 {
@@ -490,12 +488,10 @@ struct ServiceDaemon::Impl
     {
         SimOptions opt;
         std::string key;      ///< cacheKey(opt)
-        std::string spec;     ///< serviceRunSpecJson(opt)
         std::string identity; ///< journal identity (co-location key)
         int activeRefs = 0;   ///< references from live campaigns
         bool done = false;
         bool ran = false;     ///< executed (vs. skipped/cancelled)
-        bool finishLogged = false;
         SimResult result;
         RunOutcome outcome;
     };
@@ -542,9 +538,6 @@ struct ServiceDaemon::Impl
     int listenFd = -1;
     unsigned acceptCounter = 0;
 
-    TicketLog ticketLog{""};
-    std::uint64_t ticketAppends = 0;
-
     ServiceStats stats;
     std::uint64_t beatCounter = 0;
 
@@ -562,35 +555,6 @@ struct ServiceDaemon::Impl
         rec.pid = static_cast<int>(::getpid());
         rec.phase = phase;
         writeHeartbeat(daemon.options_.heartbeatPath, rec);
-    }
-
-    // ---- durable tickets ----
-
-    std::vector<PendingTicket>
-    unfinishedTicketsLocked() const
-    {
-        std::vector<PendingTicket> pending;
-        for (const auto &t : tickets) {
-            if (!t->finishLogged)
-                pending.push_back({t->key, t->spec});
-        }
-        return pending;
-    }
-
-    /** Count one log append and fold the log when finished history
-     *  dominates live work. */
-    void
-    noteTicketAppendLocked()
-    {
-        ++ticketAppends;
-        std::size_t live = 0;
-        for (const auto &t : tickets) {
-            if (!t->finishLogged)
-                ++live;
-        }
-        if (ticketLog.shouldCompact(ticketAppends, live) &&
-            ticketLog.compact(unfinishedTicketsLocked()))
-            ticketAppends = 0;
     }
 
     // ---- campaign holders / orphan reaping ----
@@ -756,33 +720,21 @@ struct ServiceDaemon::Impl
                 ++stats.executed;
                 if (!t->outcome.cached)
                     ++stats.simulated;
-                // The finish record lands *after* the cache entry
-                // (runChecked already returned): a crash between the
-                // two replays the run, which the cache absorbs.
-                t->finishLogged = true;
-                ticketLog.appendFinish(t->key,
-                                       runStatusName(t->outcome.status));
-                noteTicketAppendLocked();
                 traceInstantArg(serviceTrace().cat,
                                 serviceTrace().finish, idx);
                 // The serve-crash chaos site follows the worker-*
                 // progress rule: only after a freshly simulated run
-                // is durably cached and its finish logged, so a
-                // restart loop converges.
+                // is durably cached (runChecked already returned), so
+                // a restart loop converges.
                 if (!t->outcome.cached && t->outcome.ok() &&
                     FaultInjector::global().injectServeCrash(t->key))
                     crashAfter = true;
             } else if (cancelled) {
-                // A cancelled ticket is terminal: log it so a restart
-                // does not resurrect work nobody wants.
-                t->finishLogged = true;
-                ticketLog.appendFinish(t->key, "cancelled");
-                noteTicketAppendLocked();
                 traceInstantArg(serviceTrace().cat,
                                 serviceTrace().finish, idx);
             }
-            // Drain-skip: no finish record. The ticket stays pending
-            // in the log and the next daemon completes it.
+            // A drain-skipped ticket leaves nothing behind: its client
+            // resubmits to the next daemon, which simulates it then.
             publishHeartbeatLocked(draining ? HeartbeatPhase::Draining
                                             : HeartbeatPhase::Running);
             if (daemon.options_.verbose) {
@@ -815,10 +767,7 @@ struct ServiceDaemon::Impl
                 // revive and requeue instead of serving the stale
                 // skip.
                 t.done = false;
-                t.finishLogged = false;
                 t.outcome = RunOutcome{};
-                ticketLog.appendSubmit(t.key, t.spec);
-                noteTicketAppendLocked();
                 traceInstantArg(serviceTrace().cat,
                                 serviceTrace().revive, it->second);
                 ScheduledRun item;
@@ -838,13 +787,10 @@ struct ServiceDaemon::Impl
         t->identity = journalIdentity(opt.benchmark, opt.scheme,
                                       opt.configLevel);
         t->key = key;
-        t->spec = serviceRunSpecJson(opt);
         t->opt = std::move(opt);
         tickets.push_back(std::move(t));
         ticketByKey.emplace(key, idx);
         ++stats.unique;
-        ticketLog.appendSubmit(key, tickets[idx]->spec);
-        noteTicketAppendLocked();
         traceInstantArg(serviceTrace().cat, serviceTrace().submit, idx);
         ScheduledRun item;
         item.index = idx;
@@ -1081,7 +1027,6 @@ struct ServiceDaemon::Impl
            << ",\"dedup_hits\":" << stats.dedupHits
            << ",\"executed\":" << stats.executed
            << ",\"simulated\":" << stats.simulated
-           << ",\"recovered\":" << stats.recovered
            << ",\"overloaded\":" << stats.overloaded
            << ",\"orphaned\":" << stats.orphaned
            << ",\"io_timeouts\":" << stats.ioTimeouts
@@ -1305,59 +1250,6 @@ ServiceDaemon::start(std::string &err)
         n = 2;
     impl_->sched.seed({}, n);
 
-    // Replay the durable ticket log before the workers spawn: every
-    // submit without a finish is work a previous daemon accepted but
-    // never completed, and a client may reconnect expecting it.
-    if (options_.campaign.useCache &&
-        !options_.campaign.cacheDir.empty()) {
-        impl_->ticketLog = TicketLog(options_.campaign.cacheDir);
-        const TicketLogReplay rep = impl_->ticketLog.replay();
-        if (rep.corrupt > 0)
-            warn("serve: ticket log: skipped %zu damaged record(s)",
-                 rep.corrupt);
-        for (const PendingTicket &p : rep.pending) {
-            JsonValue spec;
-            SimOptions opt;
-            std::string perr;
-            if (!parseJson(p.spec, spec, perr) ||
-                !parseServiceRunSpec(spec, opt, perr)) {
-                warn("serve: ticket log: unreadable spec for %s: %s",
-                     p.key.c_str(), perr.c_str());
-                continue;
-            }
-            try {
-                validateSimOptions(opt);
-            } catch (const RunError &e) {
-                warn("serve: ticket log: invalid spec for %s: %s",
-                     p.key.c_str(), e.what());
-                continue;
-            }
-            std::lock_guard<std::mutex> lock(impl_->m);
-            bool fresh = false;
-            const std::size_t idx =
-                impl_->internTicketLocked(std::move(opt), fresh);
-            if (!fresh)
-                continue; // duplicate log records
-            // One daemon-owned reference: the recovered ticket is not
-            // part of any live campaign, but it must execute rather
-            // than be skipped as cancelled.
-            ++impl_->tickets[idx]->activeRefs;
-            ++impl_->stats.recovered;
-        }
-        // Fold the replayed history down to just the pending records.
-        {
-            std::lock_guard<std::mutex> lock(impl_->m);
-            if (impl_->ticketLog.compact(
-                    impl_->unfinishedTicketsLocked()))
-                impl_->ticketAppends = 0;
-        }
-        if (options_.verbose && impl_->stats.recovered > 0)
-            inform("serve: recovered %llu unfinished ticket(s) from "
-                   "the ticket log",
-                   static_cast<unsigned long long>(
-                       impl_->stats.recovered));
-    }
-
     impl_->workers.reserve(n);
     for (unsigned w = 0; w < n; ++w)
         impl_->workers.emplace_back([this, w] {
@@ -1455,9 +1347,8 @@ ServiceDaemon::serve()
     }
 
     // Drain: no new work is accepted, queued tickets resolve as
-    // Skipped (their ticket-log records stay pending so a future
-    // daemon finishes them), workers finish their in-flight run and
-    // exit.
+    // Skipped (a client resubmits them to the next daemon), workers
+    // finish their in-flight run and exit.
     {
         std::lock_guard<std::mutex> lock(impl_->m);
         impl_->draining = true;
@@ -1484,15 +1375,13 @@ ServiceDaemon::serve()
     if (options_.verbose) {
         const ServiceStats s = statsSnapshot();
         inform("serve: done: %llu campaigns, %llu runs (%llu unique, "
-               "%llu dedup hits), %llu executed, %llu simulated, "
-               "%llu recovered",
+               "%llu dedup hits), %llu executed, %llu simulated",
                static_cast<unsigned long long>(s.campaigns),
                static_cast<unsigned long long>(s.submitted),
                static_cast<unsigned long long>(s.unique),
                static_cast<unsigned long long>(s.dedupHits),
                static_cast<unsigned long long>(s.executed),
-               static_cast<unsigned long long>(s.simulated),
-               static_cast<unsigned long long>(s.recovered));
+               static_cast<unsigned long long>(s.simulated));
     }
     return 0;
 }

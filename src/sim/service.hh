@@ -25,8 +25,8 @@
  *   results   {campaign, wait?} -> {state, journal}
  *   cancel    {campaign} -> {cancelled}
  *   stats     -> {campaigns, submitted, unique, dedup_hits,
- *                 executed, simulated, recovered, overloaded,
- *                 orphaned, io_timeouts, protocol_errors}
+ *                 executed, simulated, overloaded, orphaned,
+ *                 io_timeouts, protocol_errors}
  *   shutdown  -> {stopping}
  *
  * Error replies may carry a machine-readable "code" plus
@@ -44,15 +44,13 @@
  * such a boundary are not comparable (same rule the shard journal
  * merger enforces).
  *
- * Crash safety: whenever a cache directory is configured, every
- * ticket's submit and finish is journaled to
- * `<cache-dir>/tickets.log` (sim/ticket_log.hh). A
- * daemon restarted over the same cache directory replays unfinished
- * tickets into its queue before accepting connections, so work
- * submitted before a SIGKILL completes after a restart and is never
- * simulated more than once beyond what was in flight at the kill.
- * Campaign ids are *not* durable — a client that loses its daemon
- * resubmits and the cache/ticket dedup makes the resubmission free.
+ * Crash recovery is resubmission: the run cache is the daemon's only
+ * durable state. Campaign ids are *not* durable — a client that loses
+ * its daemon resubmits its whole run list to a daemon restarted over
+ * the same cache directory. Runs that finished before the crash come
+ * back as cache hits and ticket dedup folds concurrent resubmits into
+ * one execution, so only work that was unfinished at the kill is
+ * simulated again.
  */
 
 #ifndef DMDC_SIM_SERVICE_HH
@@ -176,7 +174,6 @@ struct ServiceStats
     std::uint64_t dedupHits = 0;  ///< submits folded into a ticket
     std::uint64_t executed = 0;   ///< tickets run to completion
     std::uint64_t simulated = 0;  ///< executed minus cache hits
-    std::uint64_t recovered = 0;  ///< tickets replayed from the log
     std::uint64_t overloaded = 0; ///< connections/submits refused
     std::uint64_t orphaned = 0;   ///< campaigns orphan-cancelled
     std::uint64_t ioTimeouts = 0; ///< connections dropped on deadline

@@ -3,9 +3,9 @@
  * Robustness tests for the campaign service layer: deadline-bounded
  * frame I/O under EINTR storms and stalled peers, a malformed-frame
  * corpus against a live daemon, overload admission control, orphaned
- * campaign reaping, durable-ticket crash recovery, stale-socket
- * reclaim, chaos fault sites (frame-truncate, client-stall), and the
- * client's bounded-backoff reconnect.
+ * campaign reaping, crash recovery by resubmission over the run
+ * cache, stale-socket reclaim, chaos fault sites (frame-truncate,
+ * client-stall), and the client's bounded-backoff reconnect.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +31,6 @@
 #include "common/json.hh"
 #include "sim/fault_injector.hh"
 #include "sim/service.hh"
-#include "sim/ticket_log.hh"
 
 namespace dmdc
 {
@@ -600,58 +600,94 @@ TEST(ServiceRobustness, OrphanedCampaignIsCancelledAfterGrace)
     EXPECT_EQ(statField(reply, "orphaned"), 1u);
 }
 
-// ---- durable tickets -------------------------------------------------
+// ---- crash recovery is resubmission ---------------------------------
 
-TEST(ServiceRobustness, ReplaysUnfinishedTicketsOnStart)
+/** Submit @p runs, block for the journal, and return it. */
+std::string
+submitAndWait(ServiceClient &client, const std::vector<SimOptions> &runs)
 {
-    const std::string sock = "svc_recover.sock";
-    const std::string cache = "svc_recover_cache";
-    fs::remove_all(cache);
+    JsonValue reply;
+    std::string err;
+    EXPECT_TRUE(client.request(submitRequest(runs), reply, err)) << err;
+    const JsonValue *id = reply.find("campaign");
+    if (!id)
+        return "";
+    EXPECT_TRUE(client.request("{\"op\":\"results\",\"campaign\":\"" +
+                                   id->text + "\",\"wait\":true}",
+                               reply, err))
+        << err;
+    const JsonValue *journal = reply.find("journal");
+    return journal ? journal->text : "";
+}
 
-    // Fabricate the log a killed daemon would leave behind: one
-    // ticket fully finished, one accepted but never completed.
-    {
-        TicketLog log(cache);
-        log.appendSubmit("k-done",
-                         serviceRunSpecJson(quickRun("swim", "yla")));
-        log.appendFinish("k-done", "ok");
-        log.appendSubmit(
-            "k-pending",
-            serviceRunSpecJson(quickRun("gzip", "baseline")));
-    }
+TEST(ServiceRobustness, RestartOverSameCacheSimulatesOnlyUnfinishedRuns)
+{
+    const std::string sock = "svc_restart.sock";
+    const std::string cache = "svc_restart_cache";
+    const std::string refCache = "svc_restart_ref_cache";
+    const std::string refPath = "svc_restart_ref.json";
+    fs::remove_all(cache);
+    fs::remove_all(refCache);
+
+    const std::vector<SimOptions> first = {quickRun("gzip", "baseline"),
+                                           quickRun("swim", "yla")};
+    std::vector<SimOptions> superset = first;
+    superset.push_back(quickRun("applu", "baseline"));
 
     ServiceOptions opts;
     opts.socketPath = sock;
     opts.workers = 1;
     opts.campaign.cacheDir = cache;
 
+    // Daemon A completes the first campaign and shuts down; the run
+    // cache is all it leaves behind.
     {
         DaemonHarness h(opts);
         std::string err;
         ASSERT_TRUE(h.start(err)) << err;
-
-        // The unfinished ticket is re-queued and executes without any
-        // client asking for it again.
         ServiceClient client;
         ASSERT_TRUE(client.connect(sock, err)) << err;
+        ASSERT_FALSE(submitAndWait(client, first).empty());
+    }
+
+    // Daemon B, over the same cache, receives the resubmitted
+    // superset: the two finished runs come back from the cache and
+    // only the unfinished one simulates.
+    std::string journal;
+    {
+        DaemonHarness h(opts);
+        std::string err;
+        ASSERT_TRUE(h.start(err)) << err;
+        ServiceClient client;
+        ASSERT_TRUE(client.connect(sock, err)) << err;
+        journal = submitAndWait(client, superset);
         JsonValue reply;
         ASSERT_TRUE(client.request("{\"op\":\"stats\"}", reply, err))
             << err;
-        EXPECT_EQ(statField(reply, "recovered"), 1u);
-        ASSERT_TRUE(waitForStat(client, "executed", 1, 60000));
-        ASSERT_TRUE(client.request("{\"op\":\"shutdown\"}", reply,
-                                   err))
-            << err;
+        EXPECT_EQ(statField(reply, "executed"), 3u);
+        EXPECT_EQ(statField(reply, "simulated"), 1u);
     }
 
-    // After the clean exit the log holds no pending work: the next
-    // daemon starts with nothing to replay.
-    TicketLog log(cache);
-    const TicketLogReplay rep = log.replay();
-    EXPECT_EQ(rep.corrupt, 0u);
-    EXPECT_TRUE(rep.pending.empty())
-        << rep.pending.size() << " tickets still pending";
+    // The journal is byte-identical to an uninterrupted in-process
+    // --json-deterministic campaign of the same runs.
+    setCampaignJournal(refPath, /*deterministic=*/true);
+    {
+        CampaignConfig cfg;
+        cfg.cacheDir = refCache;
+        CampaignRunner runner(cfg);
+        EXPECT_TRUE(runner.runChecked(superset).allOk());
+    }
+    flushCampaignJournal();
+    setCampaignJournal("");
+    std::ifstream in(refPath, std::ios::binary);
+    const std::string ref((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    ASSERT_FALSE(ref.empty());
+    EXPECT_EQ(journal, ref);
+
     fs::remove_all(cache);
+    fs::remove_all(refCache);
+    fs::remove(refPath);
 }
 
 // ---- socket lifecycle ------------------------------------------------

@@ -37,11 +37,13 @@
  * Failure handling: connects retry with exponential backoff (a
  * daemon that crashed and is being restarted looks like a refused
  * connection for a moment), and `submit` survives a daemon death
- * mid-campaign by reconnecting and resubmitting — campaign ids are
- * not durable across a daemon restart, but the run cache is, so a
- * resubmission costs only the runs that were genuinely in flight
- * when the daemon died. Retryable `overloaded`/`draining` refusals
- * honor the daemon's retry_after_ms hint.
+ * mid-campaign by reconnecting and resubmitting. This resubmission is
+ * the daemon's whole crash-recovery story: campaign ids are not
+ * durable across a daemon restart and the restarted daemon does not
+ * finish work on its own, but the run cache is durable, so a
+ * resubmission costs only the runs that were unfinished when the
+ * daemon died. Retryable `overloaded`/`draining` refusals honor the
+ * daemon's retry_after_ms hint.
  */
 
 #include <chrono>
@@ -191,7 +193,7 @@ submitAndCollect(ServiceClient &client, const std::string &socketPath,
             return kExitOk;
           case FetchOutcome::Lost:
             // The daemon went away (or forgot us) mid-wait:
-            // reconnect and resubmit; completed runs replay from
+            // reconnect and resubmit; completed runs come back from
             // the cache.
             if (backoffRetry(client, attempt, /*force=*/true))
                 continue;
@@ -363,8 +365,8 @@ main(int argc, char **argv)
         if (cmd == "stats") {
             for (const char *key :
                  {"campaigns", "submitted", "unique", "dedup_hits",
-                  "executed", "simulated", "recovered", "overloaded",
-                  "orphaned", "io_timeouts", "protocol_errors"}) {
+                  "executed", "simulated", "overloaded", "orphaned",
+                  "io_timeouts", "protocol_errors"}) {
                 const JsonValue *v = reply.find(key);
                 std::printf("%-15s %s\n", key,
                             v ? v->text.c_str() : "?");

@@ -38,13 +38,13 @@
  * (or a client's shutdown op) drain gracefully: in-flight runs
  * finish, queued work is skipped, and the socket is removed.
  *
- * Crash recovery: with a cache directory configured, accepted work
- * is journaled to <cache-dir>/tickets.log. Resuming is restarting: a
- * daemon killed outright (SIGKILL, OOM, power loss) and restarted
- * with the same command over the same cache directory replays
- * unfinished tickets and completes them; clients reconnect
- * (dmdc_client retries automatically) and resubmit, with the cache
- * deduplicating everything that already finished.
+ * Crash recovery is resubmission: the run cache is the only durable
+ * state. Resuming is restarting: a daemon killed outright (SIGKILL,
+ * OOM, power loss) is restarted with the same command over the same
+ * cache directory, and clients reconnect (dmdc_client retries
+ * automatically) and resubmit their run lists. Runs that finished
+ * before the kill come back as cache hits; only unfinished ones are
+ * simulated. The restarted daemon does no work nobody resubmits.
  */
 
 #include <csignal>

@@ -2,20 +2,21 @@
 #
 # Runs dmdc_serve inside a respawn loop with the serve-crash fault
 # site armed at p=1: the daemon SIGKILLs itself after *every* freshly
-# simulated run (always after the run was cached and its ticket-log
-# finish record written, so each death strictly follows progress).
-# One dmdc_client submits a 4-run campaign with --wait and must ride
-# out every crash — reconnecting with backoff, resubmitting when the
-# restarted daemon has forgotten its campaign id — and finally write
-# a journal byte-identical to a serial `dmdc_sim --json-deterministic`
-# run. Asserts along the way that
+# simulated run (always after the run was cached, so each death
+# strictly follows progress). The run cache is the only durable
+# state: a restarted daemon knows nothing of the work its predecessor
+# accepted. One dmdc_client submits a 4-run campaign with --wait and
+# must ride out every crash — reconnecting with backoff, resubmitting
+# when the restarted daemon has forgotten its campaign id — and
+# finally write a journal byte-identical to a serial
+# `dmdc_sim --json-deterministic` run. Asserts along the way that
 #  - the daemon was killed at least once and the whole loop converged
 #    in at most runs+2 generations (the progress rule);
-#  - restarted daemons reclaimed the stale socket and replayed
-#    unfinished tickets from the durable ticket log;
-#  - no run was simulated more than once beyond what was in flight at
-#    a kill (implied by the byte-identical journal plus the bounded
-#    generation count).
+#  - restarted daemons reclaimed the stale socket;
+#  - across all generations every run identity was freshly simulated
+#    (a `serve: <identity> -> ok` line without ` (cached)`) at most
+#    once: resubmitted runs that finished before a kill come back
+#    from the cache.
 #
 # Requires DMDC_SIM, DMDC_SERVE, DMDC_CLIENT, WORK_DIR. Uses bash to
 # background the respawn loop (Unix-only, like the daemon itself).
@@ -54,9 +55,9 @@ if(NOT rc EQUAL 0)
     chaos_fail("serial reference campaign failed (exit ${rc})")
 endif()
 
-# The respawn loop: every daemon generation shares the socket, the
-# run cache, and the durable ticket log. p=1 guarantees the first
-# generation dies, so the recovery machinery is always exercised.
+# The respawn loop: every daemon generation shares the socket and the
+# run cache. p=1 guarantees the first generation dies, so recovery by
+# resubmission is always exercised.
 execute_process(
     COMMAND bash -c
         "(while [ ! -f '${stopfile}' ]; do \
@@ -134,21 +135,36 @@ if(generations GREATER 6)
         "for a 4-run campaign (progress rule allows at most 5)")
 endif()
 
-# The restarted daemons must have taken the documented recovery path:
-# probe-and-reclaim of the dead generation's socket, then ticket-log
-# replay of the work that was accepted but unfinished at the kill.
+# The restarted daemons must have reclaimed the dead generation's
+# socket (the documented probe-and-reclaim path).
 file(READ "${serve_log}" log_text)
 if(NOT log_text MATCHES "reclaiming stale socket")
     message(FATAL_ERROR
         "no 'reclaiming stale socket' in the daemon log — restart "
         "never exercised the stale-socket probe:\n${log_text}")
 endif()
-if(NOT log_text MATCHES "recovered [0-9]+ unfinished ticket")
+
+# At most once: across every generation, each run identity has at
+# most one freshly simulated completion line. A resubmitted run that
+# finished before a kill must come back as ` (cached)`.
+file(STRINGS "${serve_log}" done_lines REGEX "serve: [^ ]+ -> ok$")
+set(fresh_ids "")
+foreach(line IN LISTS done_lines)
+    string(REGEX REPLACE ".*serve: ([^ ]+) -> ok$" "\\1" id "${line}")
+    list(FIND fresh_ids "${id}" seen)
+    if(NOT seen EQUAL -1)
+        message(FATAL_ERROR
+            "run ${id} was freshly simulated more than once across "
+            "daemon generations:\n${log_text}")
+    endif()
+    list(APPEND fresh_ids "${id}")
+endforeach()
+list(LENGTH fresh_ids fresh_count)
+if(fresh_count EQUAL 0)
     message(FATAL_ERROR
-        "no ticket-log replay in the daemon log — restart never "
-        "recovered pending tickets:\n${log_text}")
+        "no freshly simulated run in the daemon log:\n${log_text}")
 endif()
 
 message(STATUS
-    "serve chaos: ${generations} daemon generations, journal "
-    "byte-identical to the serial run")
+    "serve chaos: ${generations} daemon generations, ${fresh_count} "
+    "fresh simulations, journal byte-identical to the serial run")

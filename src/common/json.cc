@@ -1,8 +1,12 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace dmdc
 {
@@ -10,10 +14,10 @@ namespace dmdc
 namespace
 {
 
-class JsonParser
+class Parser
 {
   public:
-    JsonParser(const std::string &text, std::string &err)
+    Parser(const std::string &text, std::string &err)
         : text_(text), err_(err)
     {
     }
@@ -255,7 +259,7 @@ bool
 parseJson(const std::string &text, JsonValue &out, std::string &err)
 {
     out = JsonValue{};
-    JsonParser parser(text, err);
+    Parser parser(text, err);
     return parser.parse(out);
 }
 
@@ -284,6 +288,80 @@ jsonEscapeString(const std::string &s)
         }
     }
     return out;
+}
+
+std::string
+jsonDoubleToken(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+bool
+fieldString(const JsonValue &obj, const char *key, std::string &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind != JsonValue::Kind::String)
+        return false;
+    out = v->text;
+    return true;
+}
+
+bool
+fieldU64(const JsonValue &obj, const char *key, std::uint64_t &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind != JsonValue::Kind::Number || v->text.empty())
+        return false;
+    for (char c : v->text) {
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            return false;
+    }
+    errno = 0;
+    const unsigned long long n = std::strtoull(v->text.c_str(), nullptr,
+                                               10);
+    if (errno == ERANGE)
+        return false;
+    out = n;
+    return true;
+}
+
+bool
+fieldUnsigned(const JsonValue &obj, const char *key, unsigned &out)
+{
+    std::uint64_t n = 0;
+    if (!fieldU64(obj, key, n) ||
+        n > std::numeric_limits<unsigned>::max())
+        return false;
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
+bool
+fieldDouble(const JsonValue &obj, const char *key, double &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind != JsonValue::Kind::Number)
+        return false;
+    char *end = nullptr;
+    const double d = std::strtod(v->text.c_str(), &end);
+    // Overflow lands on +-HUGE_VAL and fails isfinite(); underflow to
+    // a subnormal is the exact value "%.17g" wrote, so it is kept.
+    if (end != v->text.c_str() + v->text.size() || !std::isfinite(d))
+        return false;
+    out = d;
+    return true;
+}
+
+bool
+fieldBool(const JsonValue &obj, const char *key, bool &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind != JsonValue::Kind::Bool)
+        return false;
+    out = v->boolean;
+    return true;
 }
 
 } // namespace dmdc

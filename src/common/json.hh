@@ -1,9 +1,11 @@
 /**
  * @file
- * Minimal JSON value tree + strict parser.
- *
- * Grown out of the journal merger and shared with the dmdc_serve
- * protocol. Two properties matter more than generality:
+ * Minimal JSON value tree + strict parser: the only JSON reader in
+ * the repo. Service frames, run-cache entries, shard heartbeats,
+ * campaign and bench journals, and trace files all parse through
+ * parseJson() and the typed field accessors below, so every reader of
+ * untrusted bytes shares one grammar and one set of range checks.
+ * Two properties matter more than generality:
  *
  *  - numbers keep their raw source token, so a parsed journal can be
  *    re-serialized byte-identically (the merge and service layers both
@@ -14,12 +16,14 @@
  *
  * Writing stays with the callers — each emitter owns its exact byte
  * layout — but jsonEscapeString() is shared so every emitter escapes
- * control characters the same reversible way.
+ * control characters the same reversible way, and jsonDoubleToken()
+ * so every emitter spells a double the same round-tripping way.
  */
 
 #ifndef DMDC_COMMON_JSON_HH
 #define DMDC_COMMON_JSON_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +65,25 @@ bool parseJson(const std::string &text, JsonValue &out,
  * so this is for protocol payloads, not journals.)
  */
 std::string jsonEscapeString(const std::string &s);
+
+/** Shortest decimal form that round-trips an IEEE double exactly
+ *  ("%.17g"); journal and cache-entry bytes depend on this spelling. */
+std::string jsonDoubleToken(double v);
+
+/*
+ * Strict typed accessors for object fields. Each returns false, and
+ * leaves @p out untouched, when @p key is absent, holds a different
+ * kind, or holds a number @p out cannot represent exactly:
+ *  - fieldU64 / fieldUnsigned accept plain decimal digits only (no
+ *    sign, fraction or exponent) within the target type's range;
+ *  - fieldDouble accepts any finite number.
+ */
+bool fieldString(const JsonValue &obj, const char *key,
+                 std::string &out);
+bool fieldU64(const JsonValue &obj, const char *key, std::uint64_t &out);
+bool fieldUnsigned(const JsonValue &obj, const char *key, unsigned &out);
+bool fieldDouble(const JsonValue &obj, const char *key, double &out);
+bool fieldBool(const JsonValue &obj, const char *key, bool &out);
 
 } // namespace dmdc
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +27,7 @@
 #include "common/atomic_file.hh"
 #include "common/build_info.hh"
 #include "common/crc32.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/trace_sink.hh"
@@ -35,7 +35,6 @@
 #include "sim/fault_injector.hh"
 #include "sim/heartbeat.hh"
 #include "sim/run_scheduler.hh"
-#include "sim/thread_pool.hh"
 
 namespace dmdc
 {
@@ -68,15 +67,6 @@ runnerTrace()
 {
     static RunnerTrace ids;
     return ids;
-}
-
-/** Shortest decimal form that round-trips an IEEE double exactly. */
-std::string
-doubleToken(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 /** Escape @p s for embedding in a JSON string literal. */
@@ -183,7 +173,7 @@ class JsonWriter
     void field(const char *key, double v)
     {
         comma();
-        os_ << '"' << key << "\":" << doubleToken(v);
+        os_ << '"' << key << "\":" << jsonDoubleToken(v);
     }
 
   private:
@@ -196,124 +186,6 @@ class JsonWriter
 
     std::ostream &os_;
     bool first_ = true;
-};
-
-// ---- JSON reading ----------------------------------------------------
-
-/**
- * Minimal parser for the subset this file writes: objects of string /
- * number / bool values and nested objects. Numbers are kept as raw
- * tokens so integer fields never take a detour through double.
- */
-class JsonReader
-{
-  public:
-    /** Flattened "outer.inner" key -> raw value token (unquoted). */
-    using Map = std::unordered_map<std::string, std::string>;
-
-    static bool
-    parse(const std::string &text, Map &out)
-    {
-        JsonReader r(text);
-        r.skipWs();
-        if (!r.object("", out))
-            return false;
-        r.skipWs();
-        return r.pos_ == text.size();
-    }
-
-  private:
-    explicit JsonReader(const std::string &text) : text_(text) {}
-
-    bool
-    object(const std::string &prefix, Map &out)
-    {
-        if (!consume('{'))
-            return false;
-        skipWs();
-        if (consume('}'))
-            return true;
-        for (;;) {
-            std::string key;
-            if (!quoted(key))
-                return false;
-            skipWs();
-            if (!consume(':'))
-                return false;
-            skipWs();
-            const std::string path =
-                prefix.empty() ? key : prefix + "." + key;
-            if (peek() == '{') {
-                if (!object(path, out))
-                    return false;
-            } else {
-                std::string value;
-                if (peek() == '"') {
-                    if (!quoted(value))
-                        return false;
-                } else if (!scalar(value)) {
-                    return false;
-                }
-                out[path] = value;
-            }
-            skipWs();
-            if (consume(',')) {
-                skipWs();
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    quoted(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            out.push_back(text_[pos_++]);
-        return consume('"');
-    }
-
-    bool
-    scalar(std::string &out)
-    {
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == ',' || c == '}' || c == ']' ||
-                std::isspace(static_cast<unsigned char>(c))) {
-                break;
-            }
-            out.push_back(c);
-            ++pos_;
-        }
-        return !out.empty();
-    }
-
-    char peek() const { return pos_ < text_.size() ? text_[pos_] : 0; }
-
-    bool
-    consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
 };
 
 // ---- SimResult <-> JSON ---------------------------------------------
@@ -374,76 +246,71 @@ writeResult(JsonWriter &w, const SimResult &r)
     w.close();
 }
 
+/**
+ * Read the "result" object writeResult() emitted. False when any
+ * field is absent, of the wrong kind, negative or out of range: a
+ * frame-valid entry that does not read back exactly is corruption,
+ * never a zeroed or wrapped result.
+ */
 bool
-readResult(const JsonReader::Map &m, SimResult &r)
+readResult(const JsonValue &entry, SimResult &r)
 {
-    bool ok = true;
-    auto raw = [&](const char *name) -> const std::string & {
-        static const std::string empty;
-        auto it = m.find(std::string("result.") + name);
-        if (it == m.end()) {
-            ok = false;
-            return empty;
-        }
-        return it->second;
-    };
-    auto u64 = [&](const char *name) -> std::uint64_t {
-        const std::string &t = raw(name);
-        return t.empty() ? 0 : std::strtoull(t.c_str(), nullptr, 10);
-    };
-    auto f64 = [&](const char *name) -> double {
-        const std::string &t = raw(name);
-        return t.empty() ? 0.0 : std::strtod(t.c_str(), nullptr);
-    };
-
-    r.benchmark = raw("benchmark");
-    r.fp = raw("fp") == "true";
-    r.configLevel = static_cast<unsigned>(u64("config_level"));
-    r.scheme = raw("scheme");
-    r.instructions = u64("instructions");
-    r.cycles = u64("cycles");
-    r.ipc = f64("ipc");
-    r.lqSearches = u64("lq_searches");
-    r.lqSearchesFiltered = u64("lq_searches_filtered");
-    r.sqSearches = u64("sq_searches");
-    r.sqSearchesFiltered = u64("sq_searches_filtered");
-    r.ageTableReplays = u64("age_table_replays");
-    r.loadsOlderThanAllStores = u64("loads_older_than_all_stores");
-    r.committedLoads = u64("committed_loads");
-    r.committedStores = u64("committed_stores");
-    r.safeStoreFrac = f64("safe_store_frac");
-    r.safeLoadFrac = f64("safe_load_frac");
-    r.checkingCycleFrac = f64("checking_cycle_frac");
-    r.windowInstrs = f64("window_instrs");
-    r.windowLoads = f64("window_loads");
-    r.windowSafeLoads = f64("window_safe_loads");
-    r.windowSingleStoreFrac = f64("window_single_store_frac");
-    r.windowMarkedEntries = f64("window_marked_entries");
-    r.dmdcReplays = u64("dmdc_replays");
-    r.baselineReplays = u64("baseline_replays");
-    r.trueViolations = u64("true_violations");
-    r.trueReplays = u64("true_replays");
-    r.falseAddrX = u64("false_addr_x");
-    r.falseAddrY = u64("false_addr_y");
-    r.falseHashBefore = u64("false_hash_before");
-    r.falseHashX = u64("false_hash_x");
-    r.falseHashY = u64("false_hash_y");
-    r.falseOverflow = u64("false_overflow");
-    r.energy.fetch = f64("energy.fetch");
-    r.energy.bpred = f64("energy.bpred");
-    r.energy.rename = f64("energy.rename");
-    r.energy.rob = f64("energy.rob");
-    r.energy.issueQueue = f64("energy.issue_queue");
-    r.energy.regfile = f64("energy.regfile");
-    r.energy.fu = f64("energy.fu");
-    r.energy.l1d = f64("energy.l1d");
-    r.energy.l2 = f64("energy.l2");
-    r.energy.clock = f64("energy.clock");
-    r.energy.lqCam = f64("energy.lq_cam");
-    r.energy.sq = f64("energy.sq");
-    r.energy.yla = f64("energy.yla");
-    r.energy.checking = f64("energy.checking");
-    return ok;
+    const JsonValue *res = entry.find("result");
+    const JsonValue *en = res ? res->find("energy") : nullptr;
+    if (!en)
+        return false;
+    const JsonValue &v = *res;
+    EnergyBreakdown &e = r.energy;
+    return fieldString(v, "benchmark", r.benchmark) &&
+        fieldBool(v, "fp", r.fp) &&
+        fieldUnsigned(v, "config_level", r.configLevel) &&
+        fieldString(v, "scheme", r.scheme) &&
+        fieldU64(v, "instructions", r.instructions) &&
+        fieldU64(v, "cycles", r.cycles) &&
+        fieldDouble(v, "ipc", r.ipc) &&
+        fieldU64(v, "lq_searches", r.lqSearches) &&
+        fieldU64(v, "lq_searches_filtered", r.lqSearchesFiltered) &&
+        fieldU64(v, "sq_searches", r.sqSearches) &&
+        fieldU64(v, "sq_searches_filtered", r.sqSearchesFiltered) &&
+        fieldU64(v, "age_table_replays", r.ageTableReplays) &&
+        fieldU64(v, "loads_older_than_all_stores",
+                 r.loadsOlderThanAllStores) &&
+        fieldU64(v, "committed_loads", r.committedLoads) &&
+        fieldU64(v, "committed_stores", r.committedStores) &&
+        fieldDouble(v, "safe_store_frac", r.safeStoreFrac) &&
+        fieldDouble(v, "safe_load_frac", r.safeLoadFrac) &&
+        fieldDouble(v, "checking_cycle_frac", r.checkingCycleFrac) &&
+        fieldDouble(v, "window_instrs", r.windowInstrs) &&
+        fieldDouble(v, "window_loads", r.windowLoads) &&
+        fieldDouble(v, "window_safe_loads", r.windowSafeLoads) &&
+        fieldDouble(v, "window_single_store_frac",
+                    r.windowSingleStoreFrac) &&
+        fieldDouble(v, "window_marked_entries",
+                    r.windowMarkedEntries) &&
+        fieldU64(v, "dmdc_replays", r.dmdcReplays) &&
+        fieldU64(v, "baseline_replays", r.baselineReplays) &&
+        fieldU64(v, "true_violations", r.trueViolations) &&
+        fieldU64(v, "true_replays", r.trueReplays) &&
+        fieldU64(v, "false_addr_x", r.falseAddrX) &&
+        fieldU64(v, "false_addr_y", r.falseAddrY) &&
+        fieldU64(v, "false_hash_before", r.falseHashBefore) &&
+        fieldU64(v, "false_hash_x", r.falseHashX) &&
+        fieldU64(v, "false_hash_y", r.falseHashY) &&
+        fieldU64(v, "false_overflow", r.falseOverflow) &&
+        fieldDouble(*en, "fetch", e.fetch) &&
+        fieldDouble(*en, "bpred", e.bpred) &&
+        fieldDouble(*en, "rename", e.rename) &&
+        fieldDouble(*en, "rob", e.rob) &&
+        fieldDouble(*en, "issue_queue", e.issueQueue) &&
+        fieldDouble(*en, "regfile", e.regfile) &&
+        fieldDouble(*en, "fu", e.fu) &&
+        fieldDouble(*en, "l1d", e.l1d) &&
+        fieldDouble(*en, "l2", e.l2) &&
+        fieldDouble(*en, "clock", e.clock) &&
+        fieldDouble(*en, "lq_cam", e.lqCam) &&
+        fieldDouble(*en, "sq", e.sq) &&
+        fieldDouble(*en, "yla", e.yla) &&
+        fieldDouble(*en, "checking", e.checking);
 }
 
 // ---- bench journal / failure manifest --------------------------------
@@ -626,7 +493,7 @@ flushCampaignJournal()
             e.config = rec.configLevel;
             e.status = rec.status;
             if (rec.status == RunStatus::Ok) {
-                e.ipcToken = doubleToken(rec.ipc);
+                e.ipcToken = jsonDoubleToken(rec.ipc);
                 e.cyclesToken = std::to_string(rec.cycles);
             } else {
                 e.category = rec.category;
@@ -653,15 +520,15 @@ flushCampaignJournal()
                << "\",\"config\":" << rec.configLevel
                << ",\"status\":\"" << runStatusName(rec.status) << '"';
             if (rec.status == RunStatus::Ok) {
-                os << ",\"ipc\":" << doubleToken(rec.ipc)
+                os << ",\"ipc\":" << jsonDoubleToken(rec.ipc)
                    << ",\"cycles\":" << rec.cycles;
             } else {
                 os << ",\"category\":\"" << jsonEscape(rec.category)
                    << "\",\"error\":\"" << jsonEscape(rec.error) << '"';
             }
             os << ",\"attempts\":" << rec.attempts
-               << ",\"wall_ms\":" << doubleToken(rec.wallMs)
-               << ",\"sim_khz\":" << doubleToken(rec.simKhz)
+               << ",\"wall_ms\":" << jsonDoubleToken(rec.wallMs)
+               << ",\"sim_khz\":" << jsonDoubleToken(rec.simKhz)
                << ",\"cached\":" << (rec.cached ? "true" : "false");
             if (rec.checkMode != "off") {
                 os << ",\"check\":\"" << rec.checkMode
@@ -753,7 +620,7 @@ cacheKey(const SimOptions &opt)
        << "|scheme=" << opt.scheme
        << "|warmup=" << opt.warmupInsts
        << "|insts=" << opt.runInsts
-       << "|inv=" << doubleToken(opt.invalidationsPer1kCycles)
+       << "|inv=" << jsonDoubleToken(opt.invalidationsPer1kCycles)
        << "|coherence=" << opt.coherence
        << "|safe_loads=" << opt.safeLoads
        << "|sq_filter=" << opt.sqFilter
@@ -790,17 +657,19 @@ CampaignRunner::loadFromDisk(const std::string &key, SimResult &out)
       case CacheStore::Load::Hit:
         break;
     }
-    JsonReader::Map m;
-    if (!JsonReader::parse(payload, m)) {
+    JsonValue entry;
+    std::string err;
+    if (!parseJson(payload, entry, err) ||
+        entry.kind != JsonValue::Kind::Object) {
         diskStore_->quarantineKey(key, "has an unparsable payload");
         return CacheLoad::Corrupt;
     }
     // A hash collision surfaces as a key mismatch; that is a plain
     // miss (the fresh result overwrites the entry), not corruption.
-    auto it = m.find("key");
-    if (it == m.end() || it->second != key)
+    std::string stored_key;
+    if (!fieldString(entry, "key", stored_key) || stored_key != key)
         return CacheLoad::Miss;
-    if (!readResult(m, out)) {
+    if (!readResult(entry, out)) {
         diskStore_->quarantineKey(key, "is missing result fields");
         return CacheLoad::Corrupt;
     }
@@ -985,7 +854,7 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
     std::atomic<bool> abort_flag{false};
     if (!pending.empty()) {
         unsigned jobs = config_.jobs
-            ? config_.jobs : ThreadPool::defaultConcurrency();
+            ? config_.jobs : defaultConcurrency();
         jobs = std::min<std::size_t>(jobs, pending.size());
 
         auto execute_run =

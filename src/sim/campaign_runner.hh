@@ -4,10 +4,11 @@
  * fault isolation.
  *
  * A campaign is an ordered list of independent (benchmark, config,
- * scheme) simulation runs. CampaignRunner fans the list out across a
- * ThreadPool while preserving the serial result ordering and
- * bit-identical SimResults (each Simulator owns all of its state, so
- * runs are deterministic functions of their SimOptions).
+ * scheme) simulation runs. CampaignRunner fans the list out across
+ * RunScheduler worker threads while preserving the serial result
+ * ordering and bit-identical SimResults (each Simulator owns all of
+ * its state, so runs are deterministic functions of their
+ * SimOptions).
  *
  * Runs whose SimOptions are canonically fingerprintable (no attached
  * observers, no tweak callback) are additionally memoized in an
@@ -48,7 +49,7 @@ namespace dmdc
 /** Knobs of a CampaignRunner (see also bench --jobs / --no-cache). */
 struct CampaignConfig
 {
-    /** Worker threads; 0 selects ThreadPool::defaultConcurrency(). */
+    /** Worker threads; 0 selects defaultConcurrency(). */
     unsigned jobs = 0;
     /** Enable the in-process + on-disk run cache. */
     bool useCache = true;

@@ -198,30 +198,6 @@ writeJournalEntry(std::ostream &os, const JournalEntry &e)
 
 // ---- JSON parsing ----------------------------------------------------
 
-namespace
-{
-
-bool
-numberField(const JsonValue &obj, const char *key, std::uint64_t &out,
-            std::string &err)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number) {
-        err = std::string("journal header missing numeric '") + key +
-              "' field";
-        return false;
-    }
-    try {
-        out = std::stoull(v->text);
-    } catch (const std::exception &) {
-        err = std::string("journal '") + key + "' is not an integer";
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
 bool
 parseShardJournal(const std::string &text, ShardJournal &out,
                   std::string &err)
@@ -235,16 +211,14 @@ parseShardJournal(const std::string &text, ShardJournal &out,
         return false;
     }
 
-    std::uint64_t version = 0;
-    if (!numberField(root, "version", version, err))
+    if (!fieldUnsigned(root, "version", out.version)) {
+        err = "journal header missing numeric 'version' field";
         return false;
-    out.version = static_cast<unsigned>(version);
-    const JsonValue *commit = root.find("commit");
-    if (!commit || commit->kind != JsonValue::Kind::String) {
+    }
+    if (!fieldString(root, "commit", out.commit)) {
         err = "journal header missing 'commit' field";
         return false;
     }
-    out.commit = commit->text;
 
     const JsonValue *campaign = root.find("campaign");
     const bool hasIndex = root.find("shard_index") != nullptr;
@@ -257,19 +231,19 @@ parseShardJournal(const std::string &text, ShardJournal &out,
                   "shard_index, shard_count, runs_total)";
             return false;
         }
-        std::uint64_t index = 0, count = 0;
-        if (!numberField(root, "shard_index", index, err) ||
-            !numberField(root, "shard_count", count, err) ||
-            !numberField(root, "runs_total", out.runsTotal, err))
+        if (!fieldUnsigned(root, "shard_index", out.shardIndex) ||
+            !fieldUnsigned(root, "shard_count", out.shardCount) ||
+            !fieldU64(root, "runs_total", out.runsTotal)) {
+            err = "journal shard header fields must be unsigned "
+                  "integers";
             return false;
-        if (count == 0 || index >= count) {
+        }
+        if (out.shardCount == 0 || out.shardIndex >= out.shardCount) {
             err = "journal shard_index/shard_count out of range";
             return false;
         }
         out.sharded = true;
         out.campaign = campaign->text;
-        out.shardIndex = static_cast<unsigned>(index);
-        out.shardCount = static_cast<unsigned>(count);
     }
 
     const JsonValue *results = root.find("results");
@@ -284,50 +258,37 @@ parseShardJournal(const std::string &text, ShardJournal &out,
             return false;
         }
         JournalEntry e;
-        const JsonValue *benchmark = item.find("benchmark");
-        const JsonValue *scheme = item.find("scheme");
-        const JsonValue *config = item.find("config");
-        const JsonValue *status = item.find("status");
-        if (!benchmark || benchmark->kind != JsonValue::Kind::String ||
-            !scheme || scheme->kind != JsonValue::Kind::String ||
-            !config || config->kind != JsonValue::Kind::Number ||
-            !status || status->kind != JsonValue::Kind::String) {
+        std::string status;
+        if (!fieldString(item, "benchmark", e.benchmark) ||
+            !fieldString(item, "scheme", e.scheme) ||
+            !fieldUnsigned(item, "config", e.config) ||
+            !fieldString(item, "status", status)) {
             err = "journal record missing benchmark/scheme/config/"
                   "status";
             return false;
         }
-        e.benchmark = benchmark->text;
-        e.scheme = scheme->text;
-        std::uint64_t cfg = 0;
-        if (!numberField(item, "config", cfg, err))
-            return false;
-        e.config = static_cast<unsigned>(cfg);
-        if (!parseRunStatus(status->text, e.status)) {
-            err = "journal record has unknown status '" + status->text +
-                  "'";
+        if (!parseRunStatus(status, e.status)) {
+            err = "journal record has unknown status '" + status + "'";
             return false;
         }
         if (e.status == RunStatus::Ok) {
-            const JsonValue *ipc = item.find("ipc");
-            const JsonValue *cycles = item.find("cycles");
-            if (!ipc || ipc->kind != JsonValue::Kind::Number ||
-                !cycles || cycles->kind != JsonValue::Kind::Number) {
+            // Validated as numbers, kept as raw tokens so the merged
+            // journal re-emits the shard's exact bytes.
+            double ipc = 0.0;
+            std::uint64_t cycles = 0;
+            if (!fieldDouble(item, "ipc", ipc) ||
+                !fieldU64(item, "cycles", cycles)) {
                 err = "ok journal record missing ipc/cycles";
                 return false;
             }
-            e.ipcToken = ipc->text;
-            e.cyclesToken = cycles->text;
+            e.ipcToken = item.find("ipc")->text;
+            e.cyclesToken = item.find("cycles")->text;
         } else {
-            const JsonValue *category = item.find("category");
-            const JsonValue *error = item.find("error");
-            if (!category ||
-                category->kind != JsonValue::Kind::String || !error ||
-                error->kind != JsonValue::Kind::String) {
+            if (!fieldString(item, "category", e.category) ||
+                !fieldString(item, "error", e.error)) {
                 err = "failure journal record missing category/error";
                 return false;
             }
-            e.category = category->text;
-            e.error = error->text;
         }
         out.entries.push_back(std::move(e));
     }

@@ -5,12 +5,12 @@
 
 #include "sim/heartbeat.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 
 namespace dmdc
 {
@@ -29,7 +29,6 @@ heartbeatPhaseName(HeartbeatPhase phase)
       case HeartbeatPhase::Starting:    return "starting";
       case HeartbeatPhase::Running:     return "running";
       case HeartbeatPhase::Interrupted: return "interrupted";
-      case HeartbeatPhase::Draining:    return "draining";
       case HeartbeatPhase::Done:        return "done";
     }
     return "?";
@@ -40,8 +39,7 @@ parseHeartbeatPhase(const std::string &text, HeartbeatPhase &out)
 {
     for (HeartbeatPhase p :
          {HeartbeatPhase::Starting, HeartbeatPhase::Running,
-          HeartbeatPhase::Interrupted, HeartbeatPhase::Draining,
-          HeartbeatPhase::Done}) {
+          HeartbeatPhase::Interrupted, HeartbeatPhase::Done}) {
         if (text == heartbeatPhaseName(p)) {
             out = p;
             return true;
@@ -75,83 +73,39 @@ readHeartbeat(const std::string &path, HeartbeatRecord &out,
     }
     std::stringstream buf;
     buf << is.rdbuf();
-    const std::string text = buf.str();
 
-    // Flat single-object grammar, exactly what writeHeartbeat() emits.
-    HeartbeatRecord rec;
-    std::size_t pos = 0;
-    auto skipWs = [&] {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    };
-    auto consume = [&](char c) {
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    };
-    auto quoted = [&](std::string &s) {
-        if (!consume('"'))
-            return false;
-        s.clear();
-        while (pos < text.size() && text[pos] != '"')
-            s.push_back(text[pos++]);
-        return consume('"');
-    };
-    auto scalar = [&](std::string &s) {
-        if (text[pos] == '"')
-            return quoted(s);
-        s.clear();
-        while (pos < text.size() && text[pos] != ',' &&
-               text[pos] != '}' &&
-               !std::isspace(static_cast<unsigned char>(text[pos])))
-            s.push_back(text[pos++]);
-        return !s.empty();
-    };
-
-    skipWs();
-    if (!consume('{')) {
-        err = "heartbeat '" + path + "' is not a JSON object";
+    JsonValue root;
+    std::string parse_err;
+    if (!parseJson(buf.str(), root, parse_err) ||
+        root.kind != JsonValue::Kind::Object) {
+        err = "heartbeat '" + path + "' is malformed" +
+              (parse_err.empty() ? "" : ": " + parse_err);
         return false;
     }
-    skipWs();
-    bool version_ok = false;
-    while (!consume('}')) {
-        std::string key, value;
-        if (!quoted(key) || (skipWs(), !consume(':')) ||
-            (skipWs(), !scalar(value))) {
-            err = "heartbeat '" + path + "' is malformed";
-            return false;
-        }
-        if (key == "version") {
-            version_ok = std::strtoul(value.c_str(), nullptr, 10) ==
-                kHeartbeatFormatVersion;
-        } else if (key == "pid") {
-            rec.pid = static_cast<int>(
-                std::strtol(value.c_str(), nullptr, 10));
-        } else if (key == "counter") {
-            rec.counter = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "completed") {
-            rec.completed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "runs_total") {
-            rec.runsTotal = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "phase") {
-            if (!parseHeartbeatPhase(value, rec.phase)) {
-                err = "heartbeat '" + path + "' has unknown phase '" +
-                      value + "'";
-                return false;
-            }
-        }
-        skipWs();
-        if (consume(','))
-            skipWs();
-    }
-    if (!version_ok) {
+    unsigned version = 0;
+    if (!fieldUnsigned(root, "version", version) ||
+        version != kHeartbeatFormatVersion) {
         err = "heartbeat '" + path + "' has a foreign format version";
         return false;
     }
+    HeartbeatRecord rec;
+    unsigned pid = 0;
+    std::string phase;
+    if (!fieldU64(root, "counter", rec.counter) ||
+        !fieldU64(root, "completed", rec.completed) ||
+        !fieldU64(root, "runs_total", rec.runsTotal) ||
+        !fieldUnsigned(root, "pid", pid) ||
+        pid > static_cast<unsigned>(std::numeric_limits<int>::max()) ||
+        !fieldString(root, "phase", phase)) {
+        err = "heartbeat '" + path + "' has missing or ill-typed fields";
+        return false;
+    }
+    if (!parseHeartbeatPhase(phase, rec.phase)) {
+        err = "heartbeat '" + path + "' has unknown phase '" + phase +
+              "'";
+        return false;
+    }
+    rec.pid = static_cast<int>(pid);
     out = rec;
     return true;
 }

@@ -38,8 +38,6 @@ enum class HeartbeatPhase
     Starting,    ///< process up, campaign not yet classifying runs
     Running,     ///< executing its slice
     Interrupted, ///< saw SIGINT/SIGTERM, flushing state before exit
-    Draining,    ///< service daemon winding down: no new work, the
-                 ///< in-flight runs are finishing
     Done,        ///< slice complete (possibly with degraded runs)
 };
 

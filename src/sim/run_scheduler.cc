@@ -1,6 +1,7 @@
 #include "sim/run_scheduler.hh"
 
 #include <algorithm>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 
@@ -35,6 +36,13 @@ groupRunsByIdentity(const std::vector<SimOptions> &runs)
         g.members.push_back(i);
     }
     return groups;
+}
+
+unsigned
+defaultConcurrency()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 std::vector<unsigned>

@@ -69,6 +69,10 @@ std::vector<RunGroup> groupRunsByIdentity(
 std::vector<unsigned> lptAssignGroups(const std::vector<RunGroup> &groups,
                                       unsigned bins);
 
+/** Worker count for "all cores": hardware_concurrency(), clamped to
+ *  at least 1. */
+unsigned defaultConcurrency();
+
 /**
  * Distributes ScheduledRuns across a fixed number of worker slots:
  * LPT-seeded per-worker deques plus steal-half rebalancing.

@@ -24,7 +24,6 @@
 #include "common/build_info.hh"
 #include "common/logging.hh"
 #include "sim/fault_injector.hh"
-#include "sim/heartbeat.hh"
 #include "sim/run_error.hh"
 #include "sim/run_scheduler.hh"
 #include "common/trace_sink.hh"
@@ -53,16 +52,6 @@ serviceTrace()
 {
     static ServiceTrace ids;
     return ids;
-}
-
-/** Same "%.17g" token the journal writer uses (campaign_runner.cc):
- *  the daemon re-derives journal bytes, so the spelling must match. */
-std::string
-journalDoubleToken(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 // ---- deadline-aware socket I/O ---------------------------------------
@@ -241,57 +230,6 @@ errorReplyCode(const char *code, const std::string &message,
     return os.str();
 }
 
-bool
-fieldString(const JsonValue &obj, const char *key, std::string &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::String)
-        return false;
-    out = v->text;
-    return true;
-}
-
-bool
-fieldU64(const JsonValue &obj, const char *key, std::uint64_t &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n =
-        std::strtoull(v->text.c_str(), &end, 10);
-    if (errno == ERANGE || end != v->text.c_str() + v->text.size())
-        return false;
-    out = n;
-    return true;
-}
-
-bool
-fieldDouble(const JsonValue &obj, const char *key, double &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double d = std::strtod(v->text.c_str(), &end);
-    if (errno == ERANGE || end != v->text.c_str() + v->text.size())
-        return false;
-    out = d;
-    return true;
-}
-
-bool
-fieldBool(const JsonValue &obj, const char *key, bool &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Bool)
-        return false;
-    out = v->boolean;
-    return true;
-}
-
 int
 connectUnixSocket(const std::string &path, std::string &err)
 {
@@ -420,7 +358,7 @@ serviceRunSpecJson(const SimOptions &opt)
        << ",\"warmup\":" << opt.warmupInsts
        << ",\"insts\":" << opt.runInsts
        << ",\"inv\":"
-       << journalDoubleToken(opt.invalidationsPer1kCycles)
+       << jsonDoubleToken(opt.invalidationsPer1kCycles)
        << ",\"coherence\":" << (opt.coherence ? "true" : "false")
        << ",\"safe_loads\":" << (opt.safeLoads ? "true" : "false")
        << ",\"sq_filter\":" << (opt.sqFilter ? "true" : "false")
@@ -445,31 +383,30 @@ parseServiceRunSpec(const JsonValue &spec, SimOptions &out,
         err = "run spec needs string 'benchmark' and 'scheme' fields";
         return false;
     }
-    std::uint64_t u = 0;
-    if (fieldU64(spec, "config", u))
-        out.configLevel = static_cast<unsigned>(u);
-    if (fieldU64(spec, "warmup", u))
-        out.warmupInsts = u;
-    if (fieldU64(spec, "insts", u))
-        out.runInsts = u;
-    if (fieldU64(spec, "yla", u))
-        out.numYlaQw = static_cast<unsigned>(u);
-    if (fieldU64(spec, "table", u))
-        out.tableEntriesOverride = static_cast<unsigned>(u);
-    if (fieldU64(spec, "queue", u))
-        out.queueEntries = static_cast<unsigned>(u);
-    if (fieldU64(spec, "stall_limit", u))
-        out.stallCycleLimit = u;
-    double d = 0.0;
-    if (fieldDouble(spec, "inv", d))
-        out.invalidationsPer1kCycles = d;
-    bool b = false;
-    if (fieldBool(spec, "coherence", b))
-        out.coherence = b;
-    if (fieldBool(spec, "safe_loads", b))
-        out.safeLoads = b;
-    if (fieldBool(spec, "sq_filter", b))
-        out.sqFilter = b;
+    // A present field of the wrong kind, sign or range rejects the
+    // spec: it must never wrap or truncate into a valid run. Absent
+    // fields keep their SimOptions defaults.
+    const char *bad = nullptr;
+    auto optional = [&](const char *key, auto &dst, auto accessor) {
+        if (!bad && spec.find(key) && !accessor(spec, key, dst))
+            bad = key;
+    };
+    optional("config", out.configLevel, fieldUnsigned);
+    optional("warmup", out.warmupInsts, fieldU64);
+    optional("insts", out.runInsts, fieldU64);
+    optional("yla", out.numYlaQw, fieldUnsigned);
+    optional("table", out.tableEntriesOverride, fieldUnsigned);
+    optional("queue", out.queueEntries, fieldUnsigned);
+    optional("stall_limit", out.stallCycleLimit, fieldU64);
+    optional("inv", out.invalidationsPer1kCycles, fieldDouble);
+    optional("coherence", out.coherence, fieldBool);
+    optional("safe_loads", out.safeLoads, fieldBool);
+    optional("sq_filter", out.sqFilter, fieldBool);
+    if (bad) {
+        err = std::string("run spec field '") + bad +
+              "' has the wrong type or is out of range";
+        return false;
+    }
     return true;
 }
 
@@ -539,23 +476,6 @@ struct ServiceDaemon::Impl
     unsigned acceptCounter = 0;
 
     ServiceStats stats;
-    std::uint64_t beatCounter = 0;
-
-    // ---- heartbeat (same layer the shard supervisor watches) ----
-
-    void
-    publishHeartbeatLocked(HeartbeatPhase phase)
-    {
-        if (daemon.options_.heartbeatPath.empty())
-            return;
-        HeartbeatRecord rec;
-        rec.counter = ++beatCounter;
-        rec.completed = stats.executed;
-        rec.runsTotal = stats.unique;
-        rec.pid = static_cast<int>(::getpid());
-        rec.phase = phase;
-        writeHeartbeat(daemon.options_.heartbeatPath, rec);
-    }
 
     // ---- campaign holders / orphan reaping ----
 
@@ -735,8 +655,6 @@ struct ServiceDaemon::Impl
             }
             // A drain-skipped ticket leaves nothing behind: its client
             // resubmits to the next daemon, which simulates it then.
-            publishHeartbeatLocked(draining ? HeartbeatPhase::Draining
-                                            : HeartbeatPhase::Running);
             if (daemon.options_.verbose) {
                 inform("serve: %s -> %s%s", t->identity.c_str(),
                        runStatusName(t->outcome.status),
@@ -951,7 +869,7 @@ struct ServiceDaemon::Impl
             e.config = t.opt.configLevel;
             e.status = t.outcome.status;
             if (t.outcome.ok()) {
-                e.ipcToken = journalDoubleToken(t.result.ipc);
+                e.ipcToken = jsonDoubleToken(t.result.ipc);
                 e.cyclesToken = std::to_string(t.result.cycles);
             } else {
                 e.category = runErrorCategoryName(t.outcome.category);
@@ -1255,10 +1173,6 @@ ServiceDaemon::start(std::string &err)
         impl_->workers.emplace_back([this, w] {
             impl_->workerLoop(w);
         });
-    {
-        std::lock_guard<std::mutex> lock(impl_->m);
-        impl_->publishHeartbeatLocked(HeartbeatPhase::Starting);
-    }
     if (options_.verbose) {
         inform("serve: listening on %s with %u workers",
                options_.socketPath.c_str(), n);
@@ -1352,7 +1266,6 @@ ServiceDaemon::serve()
     {
         std::lock_guard<std::mutex> lock(impl_->m);
         impl_->draining = true;
-        impl_->publishHeartbeatLocked(HeartbeatPhase::Draining);
         traceInstant(serviceTrace().cat, serviceTrace().drain);
         // Unblock connection threads parked in readFrame().
         for (int fd : impl_->liveFds)
@@ -1368,10 +1281,6 @@ ServiceDaemon::serve()
     impl_->connections.clear();
     ::close(impl_->listenFd);
     ::unlink(options_.socketPath.c_str());
-    {
-        std::lock_guard<std::mutex> lock(impl_->m);
-        impl_->publishHeartbeatLocked(HeartbeatPhase::Done);
-    }
     if (options_.verbose) {
         const ServiceStats s = statsSnapshot();
         inform("serve: done: %llu campaigns, %llu runs (%llu unique, "

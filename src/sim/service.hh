@@ -136,10 +136,6 @@ struct ServiceOptions
      *  timeouts, retries). Scheduler/shard/journal fields are owned
      *  by the daemon and ignored. */
     CampaignConfig campaign;
-    /** Heartbeat file (see heartbeat.hh); empty disables. The daemon
-     *  publishes progress-based beats exactly like a shard worker, so
-     *  the same supervisor machinery can watch it. */
-    std::string heartbeatPath;
     bool verbose = false;
 
     // ---- robustness knobs ----
@@ -292,8 +288,10 @@ class ServiceClient
  */
 std::string serviceRunSpecJson(const SimOptions &opt);
 
-/** Parse a submit run spec into @p out. False + @p err on missing or
- *  ill-typed fields. */
+/** Parse a submit run spec into @p out. False + @p err when
+ *  benchmark/scheme are missing, or when any present field has the
+ *  wrong kind or a negative / out-of-range value (absent optional
+ *  fields keep their SimOptions defaults). */
 bool parseServiceRunSpec(const JsonValue &spec, SimOptions &out,
                          std::string &err);
 

@@ -14,7 +14,7 @@
 #include "lsq/lsq_unit.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/thread_pool.hh"
+#include "sim/run_scheduler.hh"
 
 namespace dmdc
 {
@@ -135,7 +135,7 @@ TEST_F(CampaignParallel, ParallelMatchesSerialElementwise)
 
     CampaignRunner serial(config(/*jobs=*/1, /*use_cache=*/false));
     CampaignRunner parallel(
-        config(ThreadPool::defaultConcurrency(), false));
+        config(defaultConcurrency(), false));
 
     const auto serial_res = serial.runChecked(runs).results;
     const auto parallel_res = parallel.runChecked(runs).results;

@@ -14,6 +14,7 @@
 #include <functional>
 #include <sstream>
 
+#include "sim/cache_store.hh"
 #include "sim/campaign_runner.hh"
 #include "sim/campaign_shard.hh"
 #include "sim/fault_injector.hh"
@@ -430,6 +431,37 @@ class CacheCorruption : public FaultTolerance
         (void)again.runChecked({opt});
         EXPECT_EQ(again.lastStats().diskHits, 1u);
     }
+
+    /**
+     * roundTrip() with a frame-valid entry: the payload, rewritten by
+     * @p edit, is re-stored through CacheStore::store so its CRC
+     * header checks out and only the runner's payload reader can
+     * catch it.
+     */
+    void
+    payloadRoundTrip(const std::function<std::string(std::string)> &edit)
+    {
+        roundTrip([&](const fs::path &entry) {
+            const std::string text = slurp(entry);
+            CacheStoreConfig sc;
+            sc.dir = entry.parent_path().string();
+            CacheStore store(sc);
+            store.store(cacheKey(quickOptions("gzip", "dmdc-global")),
+                        edit(text.substr(text.find('\n') + 1)));
+        });
+    }
+
+    /** @p payload with the "cycles" value token replaced by @p token. */
+    static std::string
+    withCycles(std::string payload, const std::string &token)
+    {
+        const std::string tag = "\"cycles\":";
+        const std::size_t at = payload.find(tag);
+        EXPECT_NE(at, std::string::npos);
+        const std::size_t from = at + tag.size();
+        payload.replace(from, payload.find(',', from) - from, token);
+        return payload;
+    }
 };
 
 TEST_F(CacheCorruption, TruncatedEntryQuarantines)
@@ -480,6 +512,27 @@ TEST_F(CacheCorruption, LegacyHeaderlessEntryQuarantines)
         const std::string text = slurp(entry);
         std::ofstream os(entry, std::ios::trunc);
         os << text.substr(text.find('\n') + 1);
+    });
+}
+
+TEST_F(CacheCorruption, UnparsablePayloadQuarantines)
+{
+    payloadRoundTrip([](std::string) { return std::string("not json\n"); });
+}
+
+TEST_F(CacheCorruption, StringResultFieldQuarantines)
+{
+    // Must not read back as 0 cycles.
+    payloadRoundTrip([](std::string payload) {
+        return withCycles(std::move(payload), "\"abc\"");
+    });
+}
+
+TEST_F(CacheCorruption, NegativeResultFieldQuarantines)
+{
+    // Must not read back as 2^64-1 cycles.
+    payloadRoundTrip([](std::string payload) {
+        return withCycles(std::move(payload), "-1");
     });
 }
 

@@ -114,6 +114,36 @@ TEST(ServiceJson, EscapedStringsSurviveParsing)
     EXPECT_EQ(s->text, nasty);
 }
 
+TEST(ServiceJson, TypedAccessorsAreStrict)
+{
+    JsonValue root;
+    std::string err;
+    ASSERT_TRUE(parseJson(
+        "{\"max\":18446744073709551615,\"over\":18446744073709551616,"
+        "\"neg\":-0,\"exp\":1e3,\"frac\":2.0,\"uint_max\":4294967295,"
+        "\"tiny\":4.9406564584124654e-324,\"huge\":1e999,"
+        "\"text\":\"7\",\"flag\":true}",
+        root, err)) << err;
+    std::uint64_t u = 0;
+    EXPECT_TRUE(fieldU64(root, "max", u));
+    EXPECT_EQ(u, UINT64_MAX);
+    for (const char *key : {"over", "neg", "exp", "frac", "text", "flag",
+                            "absent"})
+        EXPECT_FALSE(fieldU64(root, key, u)) << key;
+    unsigned n = 0;
+    EXPECT_TRUE(fieldUnsigned(root, "uint_max", n));
+    EXPECT_EQ(n, 4294967295u);
+    EXPECT_FALSE(fieldUnsigned(root, "max", n));
+    double d = 0.0;
+    EXPECT_TRUE(fieldDouble(root, "tiny", d));
+    EXPECT_EQ(jsonDoubleToken(d), "4.9406564584124654e-324");
+    EXPECT_FALSE(fieldDouble(root, "huge", d));
+    EXPECT_FALSE(fieldDouble(root, "text", d));
+    bool b = false;
+    EXPECT_TRUE(fieldBool(root, "flag", b));
+    EXPECT_FALSE(fieldBool(root, "max", b));
+}
+
 TEST(ServiceJson, RunSpecRoundTrips)
 {
     SimOptions opt;
@@ -159,6 +189,47 @@ TEST(ServiceJson, RunSpecRequiresBenchmarkAndScheme)
     SimOptions out;
     EXPECT_FALSE(parseServiceRunSpec(spec, out, err));
     EXPECT_FALSE(err.empty());
+}
+
+TEST(ServiceJson, RunSpecRejectsIllTypedNegativeAndOutOfRangeFields)
+{
+    // None may wrap, truncate or default into a valid spec (the first
+    // would otherwise read as config 2 with a 2^64-1 stall watchdog).
+    const std::string head = "{\"benchmark\":\"gzip\",\"scheme\":\"yla\",";
+    const char *bad[] = {
+        "\"stall_limit\":-1,\"config\":4294967298}",
+        "\"stall_limit\":-1}",
+        "\"config\":4294967298}",
+        "\"insts\":\"abc\"}",
+        "\"yla\":4294967296}",
+        "\"table\":4294967296}",
+        "\"queue\":4294967296}",
+        "\"warmup\":18446744073709551616}",
+        "\"insts\":1.5}",
+        "\"inv\":\"2\"}",
+        "\"inv\":1e999}",
+        "\"coherence\":1}",
+    };
+    for (const char *tail : bad) {
+        JsonValue spec;
+        std::string err;
+        ASSERT_TRUE(parseJson(head + tail, spec, err)) << tail;
+        SimOptions out;
+        EXPECT_FALSE(parseServiceRunSpec(spec, out, err)) << tail;
+        EXPECT_FALSE(err.empty()) << tail;
+    }
+
+    // Absent fields still take their defaults.
+    JsonValue spec;
+    std::string err;
+    ASSERT_TRUE(parseJson("{\"benchmark\":\"gzip\",\"scheme\":\"yla\"}",
+                          spec, err));
+    SimOptions out;
+    ASSERT_TRUE(parseServiceRunSpec(spec, out, err)) << err;
+    const SimOptions defaults;
+    EXPECT_EQ(out.configLevel, defaults.configLevel);
+    EXPECT_EQ(out.runInsts, defaults.runInsts);
+    EXPECT_EQ(out.stallCycleLimit, defaults.stallCycleLimit);
 }
 
 // ---- handshake refusal -----------------------------------------------

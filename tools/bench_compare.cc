@@ -11,10 +11,14 @@
  * measurement per key (cached replays report 0 ms and are skipped).
  *
  * Journals from degraded campaigns are handled, not trusted: records
- * whose status is not "ok" (the failure manifest), records missing an
- * IPC and records with non-finite IPC are reported and excluded from
- * the comparison instead of crashing it or silently passing. Two
+ * whose status is not "ok" (the failure manifest) and records without
+ * a numeric IPC are reported and excluded from the comparison instead
+ * of crashing it or silently passing. Two
  * journals with no comparable key in common are "incomparable".
+ *
+ * Journals are read with the strict common/json parser, the same one
+ * journal_merge uses: a journal that is not valid JSON (a torn file,
+ * or a non-finite "nan"/"inf" number) is malformed as a whole.
  *
  * Exit codes: 0 no regressions, 1 regression found, 2 usage or
  * parse error, 3 incomparable (no overlapping comparable records).
@@ -24,182 +28,19 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+#include "sim/cli_options.hh"
+
+using namespace dmdc;
+
 namespace
 {
-
-// ---- minimal JSON reader --------------------------------------------
-//
-// Just enough for the journal grammar: objects, arrays, strings
-// without escapes beyond \" and \\, numbers, true/false/null. Not a
-// general-purpose parser and not meant to become one.
-
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> fields;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        auto it = fields.find(key);
-        return it == fields.end() ? nullptr : &it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        return value(out) && (skipWs(), pos_ == text_.size());
-    }
-
-    std::string
-    errorContext() const
-    {
-        const std::size_t from = pos_ < 20 ? 0 : pos_ - 20;
-        return text_.substr(from, 40);
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (text_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\' && pos_ + 1 < text_.size())
-                ++pos_;
-            out.push_back(text_[pos_++]);
-        }
-        if (pos_ >= text_.size())
-            return false;
-        ++pos_;   // closing quote
-        return true;
-    }
-
-    bool
-    value(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return false;
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Object;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}')
-                return ++pos_, true;
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!string(key))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_++] != ':')
-                    return false;
-                if (!value(out.fields[key]))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size())
-                    return false;
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return text_[pos_++] == '}';
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Array;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']')
-                return ++pos_, true;
-            for (;;) {
-                out.items.emplace_back();
-                if (!value(out.items.back()))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size())
-                    return false;
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return text_[pos_++] == ']';
-            }
-        }
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return string(out.str);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n' && literal("null")) {
-            out.kind = JsonValue::Kind::Null;
-            return true;
-        }
-        // number ("nan" and "inf" from %.17g land here too)
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        out.number = std::strtod(begin, &end);
-        if (end == begin)
-            return false;
-        out.kind = JsonValue::Kind::Number;
-        pos_ += static_cast<std::size_t>(end - begin);
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
 
 // ---- journal model ---------------------------------------------------
 
@@ -217,73 +58,62 @@ struct Journal
     // key: "benchmark|scheme|config"
     std::map<std::string, BenchPoint> points;
     std::size_t notOk = 0;      ///< failure-manifest records excluded
-    std::size_t unusable = 0;   ///< records without a finite IPC
+    std::size_t unusable = 0;   ///< records without a numeric IPC
 };
 
 bool
 parseJournal(const std::string &text, Journal &out, std::string &err)
 {
     JsonValue root;
-    JsonParser parser(text);
-    if (!parser.parse(root) ||
-        root.kind != JsonValue::Kind::Object) {
-        err = "malformed JSON near '" + parser.errorContext() + "'";
+    if (!parseJson(text, root, err)) {
+        err = "malformed JSON: " + err;
         return false;
     }
-    if (const JsonValue *v = root.get("commit"))
-        out.commit = v->str;
-    if (const JsonValue *v = root.get("generated_utc"))
-        out.generated = v->str;
-    const JsonValue *results = root.get("results");
+    fieldString(root, "commit", out.commit);
+    fieldString(root, "generated_utc", out.generated);
+    const JsonValue *results = root.find("results");
     if (!results || results->kind != JsonValue::Kind::Array) {
         err = "no \"results\" array";
         return false;
     }
     for (const JsonValue &rec : results->items) {
-        const JsonValue *bench = rec.get("benchmark");
-        const JsonValue *scheme = rec.get("scheme");
-        const JsonValue *config = rec.get("config");
-        if (!bench || !scheme || !config) {
+        std::string bench, scheme, status;
+        unsigned config = 0;
+        if (!fieldString(rec, "benchmark", bench) ||
+            !fieldString(rec, "scheme", scheme) ||
+            !fieldUnsigned(rec, "config", config)) {
             err = "result record missing benchmark/scheme/config";
             return false;
         }
         // Failure-manifest records (degraded campaigns) carry no
         // metrics; exclude them rather than comparing zeros.
-        const JsonValue *status = rec.get("status");
-        if (status && status->str != "ok") {
+        if (rec.find("status") &&
+            (!fieldString(rec, "status", status) || status != "ok")) {
             ++out.notOk;
             continue;
         }
-        const JsonValue *ipc = rec.get("ipc");
-        if (!ipc || ipc->kind != JsonValue::Kind::Number ||
-            !std::isfinite(ipc->number)) {
+        double ipc = 0.0;
+        if (!fieldDouble(rec, "ipc", ipc)) {
             ++out.unusable;
             continue;
         }
-        std::ostringstream key;
-        key << bench->str << '|' << scheme->str << '|'
-            << static_cast<unsigned>(config->number);
-        BenchPoint &p = out.points[key.str()];
-        p.ipc = ipc->number;   // deterministic; any record will do
-        const JsonValue *cached = rec.get("cached");
-        const JsonValue *wall = rec.get("wall_ms");
-        const bool uncached = !cached || !cached->boolean;
-        if (wall && uncached &&
-            (p.wallMs < 0.0 || wall->number < p.wallMs))
-            p.wallMs = wall->number;
+        BenchPoint &p = out.points[bench + '|' + scheme + '|' +
+                                   std::to_string(config)];
+        p.ipc = ipc;   // deterministic; any record will do
+        bool cached = false;
+        fieldBool(rec, "cached", cached);
+        double wall = 0.0;
+        const bool have_wall = fieldDouble(rec, "wall_ms", wall);
+        if (have_wall && !cached && (p.wallMs < 0.0 || wall < p.wallMs))
+            p.wallMs = wall;
         // Simulation throughput: prefer the recorded sim_khz; derive
         // it from cycles/wall_ms for journals predating the field.
-        double khz = -1.0;
-        const JsonValue *sim_khz = rec.get("sim_khz");
-        if (sim_khz && sim_khz->kind == JsonValue::Kind::Number &&
-            sim_khz->number > 0.0) {
-            khz = sim_khz->number;
-        } else if (uncached && wall && wall->number > 0.0) {
-            const JsonValue *cycles = rec.get("cycles");
-            if (cycles && cycles->kind == JsonValue::Kind::Number &&
-                cycles->number > 0.0)
-                khz = cycles->number / wall->number;
-        }
+        double khz = -1.0, sim_khz = 0.0, cycles = 0.0;
+        if (fieldDouble(rec, "sim_khz", sim_khz) && sim_khz > 0.0)
+            khz = sim_khz;
+        else if (!cached && have_wall && wall > 0.0 &&
+                 fieldDouble(rec, "cycles", cycles) && cycles > 0.0)
+            khz = cycles / wall;
         if (khz > p.simKhz)
             p.simKhz = khz;
     }
@@ -291,20 +121,20 @@ parseJournal(const std::string &text, Journal &out, std::string &err)
 }
 
 bool
-loadJournal(const char *path, Journal &out)
+loadJournal(const std::string &path, Journal &out)
 {
     std::ifstream is(path);
     if (!is) {
         std::fprintf(stderr, "bench_compare: cannot read '%s'\n",
-                     path);
+                     path.c_str());
         return false;
     }
     std::ostringstream buf;
     buf << is.rdbuf();
     std::string err;
     if (!parseJournal(buf.str(), out, err)) {
-        std::fprintf(stderr, "bench_compare: '%s': %s\n", path,
-                     err.c_str());
+        std::fprintf(stderr, "bench_compare: '%s': %s\n",
+                     path.c_str(), err.c_str());
         return false;
     }
     return true;
@@ -524,9 +354,19 @@ selfTest()
     expect(!parseJournal("{\"results\":42}", bad, err),
            "reject non-array results");
     expect(!parseJournal("not json", bad, err), "reject non-json");
+    // No writer emits a non-finite IPC, so one is not JSON: the whole
+    // journal is malformed (exit 2), as it is for journal_merge.
+    expect(!parseJournal("{\"results\":[{\"benchmark\":\"vpr\","
+                         "\"scheme\":\"yla\",\"config\":2,"
+                         "\"ipc\":nan}]}", bad, err),
+           "reject nan ipc");
+    expect(!parseJournal("{\"results\":[{\"benchmark\":\"vpr\","
+                         "\"scheme\":\"yla\",\"config\":-2}]}",
+                         bad, err),
+           "reject negative config");
 
-    // Failure-manifest records and metric-free records are excluded,
-    // never compared as zeros.
+    // Failure-manifest records and records without an IPC are
+    // excluded, never compared as zeros.
     const std::string degraded_text =
         "{\"version\":3,\"commit\":\"cccc\",\"results\":[\n"
         "  {\"benchmark\":\"gzip\",\"scheme\":\"baseline\","
@@ -537,13 +377,13 @@ selfTest()
         "\"config\":2,\"status\":\"ok\",\"ipc\":0.665,"
         "\"cycles\":90171,\"wall_ms\":50.0,\"cached\":false},\n"
         "  {\"benchmark\":\"vpr\",\"scheme\":\"yla\",\"config\":2,"
-        "\"status\":\"ok\",\"ipc\":nan,\"cycles\":1}\n]}\n";
+        "\"status\":\"ok\",\"cycles\":1}\n]}\n";
     Journal degraded;
     expect(parseJournal(degraded_text, degraded, err),
            "parse degraded journal");
     expect(degraded.points.size() == 1, "only ok records kept");
     expect(degraded.notOk == 1, "failed record counted");
-    expect(degraded.unusable == 1, "nan ipc counted");
+    expect(degraded.unusable == 1, "ipc-less record counted");
     expect(compareJournals(base, degraded, opt, false, compared) == 0,
            "degraded journal compares clean on the overlap");
     expect(compared == 1, "overlap is the single surviving key");
@@ -564,28 +404,6 @@ selfTest()
     return failures ? 1 : 0;
 }
 
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <baseline.json> <current.json>\n"
-        "         [--max-ipc-drop=FRAC]       default 0.02\n"
-        "         [--max-wall-increase=FRAC]  default 0.50\n"
-        "         [--perf-threshold=FRAC]     advisory, off by default\n"
-        "         [--verbose]\n"
-        "       %s --selftest\n"
-        "\n"
-        "Diffs two bench journals produced by --json= and exits 1\n"
-        "when the current one regresses IPC or wall clock beyond\n"
-        "the thresholds. Simulation throughput (sim-kHz) deltas are\n"
-        "always reported; --perf-threshold flags drops beyond FRAC\n"
-        "in the report without affecting the exit code. Failed-run\n"
-        "records and records without a finite IPC are excluded;\n"
-        "journals sharing no comparable record exit 3 (incomparable).\n",
-        argv0, argv0);
-}
-
 } // namespace
 
 int
@@ -593,34 +411,39 @@ main(int argc, char **argv)
 {
     CompareOptions opt;
     bool verbose = false;
-    std::vector<const char *> paths;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--selftest")
-            return selfTest();
-        if (arg == "--verbose") {
-            verbose = true;
-        } else if (arg.rfind("--max-ipc-drop=", 0) == 0) {
-            opt.maxIpcDrop = std::atof(arg.c_str() + 15);
-        } else if (arg.rfind("--max-wall-increase=", 0) == 0) {
-            opt.maxWallIncrease = std::atof(arg.c_str() + 20);
-        } else if (arg.rfind("--perf-threshold=", 0) == 0) {
-            opt.perfThreshold = std::atof(arg.c_str() + 17);
-        } else if (arg.rfind("--", 0) == 0) {
-            usage(argv[0]);
-            return 2;
-        } else {
-            paths.push_back(argv[i]);
-        }
-    }
-    if (paths.size() != 2) {
-        usage(argv[0]);
-        return 2;
-    }
+    bool run_selftest = false;
+    std::vector<std::string> paths;
+
+    CliParser cli(
+        argv[0],
+        "Diffs two bench journals produced by --json= and exits 1\n"
+        "when the current one regresses IPC or wall clock beyond\n"
+        "the thresholds. Simulation throughput (sim-kHz) deltas are\n"
+        "always reported; --perf-threshold flags drops beyond FRAC\n"
+        "in the report without affecting the exit code. Failed-run\n"
+        "records and records without an IPC are excluded; journals\n"
+        "sharing no comparable record exit 3 (incomparable), and a\n"
+        "malformed journal exits 2.");
+    cli.value("max-ipc-drop", &opt.maxIpcDrop,
+              "relative IPC drop that regresses (default 0.02)");
+    cli.value("max-wall-increase", &opt.maxWallIncrease,
+              "relative wall-clock rise that regresses (default 0.50)");
+    cli.value("perf-threshold", &opt.perfThreshold,
+              "advisory sim-kHz drop to flag (off by default)");
+    cli.flag("verbose", &verbose, "also list keys new in current");
+    cli.flag("selftest", &run_selftest,
+             "run the built-in validation suite and exit");
+    cli.positional(&paths, "<baseline.json> <current.json>");
+    cli.parseOrExit(argc, argv);
+
+    if (run_selftest)
+        return selfTest();
+    if (paths.size() != 2)
+        cli.failUsage("expected a baseline and a current journal");
 
     Journal base, cur;
     if (!loadJournal(paths[0], base) || !loadJournal(paths[1], cur))
-        return 2;
+        return kExitUsage;
     std::size_t compared = 0;
     const int regressions =
         compareJournals(base, cur, opt, verbose, compared);

@@ -43,12 +43,6 @@
  * Exit codes: 0 ok; 1 a shard exhausted its retries or the merge
  * failed; 2 usage; 4 finished but some runs degraded (see the merged
  * journal); 5 interrupted by signal (relaunch the same command).
- *
- * The heartbeat protocol here is the same one dmdc_serve publishes
- * (including the service daemon's `draining` wind-down phase), so
- * the supervision machinery — staleness detection, last-phase
- * diagnostics on a hung worker — watches a campaign daemon
- * unchanged; only spawning is launcher-specific.
  */
 
 #include <cstdio>

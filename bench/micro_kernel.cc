@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the simulator kernel fast
  * paths: DynInst pool recycling vs. heap allocation, the store
  * queue's O(1) safe-load check and binary-search load probe, the
- * checking table's occupancy pre-filter, the cost of an empty
- * pipeline tick vs. one bulk-skipped idle cycle, and the trace-sink
- * call sites (disabled vs. recording). These document the
+ * checking table's occupancy pre-filter, wakeup-driven issue select
+ * over a full issue queue, the cost of an empty pipeline tick vs. one
+ * bulk-skipped idle cycle, and the trace-sink call sites (disabled
+ * vs. recording). These document the
  * kernel-performance architecture (DESIGN.md Sec. 15) and guard the
  * fast paths against accidental complexity regressions.
  */
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/object_pool.hh"
@@ -23,6 +25,7 @@
 #include "lsq/store_queue.hh"
 #include "sim/machine_config.hh"
 #include "trace/spec_suite.hh"
+#include "trace/workload.hh"
 
 namespace
 {
@@ -175,6 +178,93 @@ BM_CheckingTableMissFastPath(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CheckingTableMissFastPath);
+
+// ---- wakeup-driven issue select -------------------------------------
+
+/**
+ * A loop that keeps the INT issue queue full of waiting entries: one
+ * 20-cycle unpipelined divide, 62 adds that all read its result, and
+ * a backward jump. Between divides almost nothing is ready, so a
+ * select that polls every IQ entry pays for the whole queue each
+ * tick while a wakeup-driven select walks an empty ready set.
+ */
+class DivFanoutWorkload : public Workload
+{
+  public:
+    DivFanoutWorkload()
+    {
+        constexpr Addr base = 0x1000;
+        for (unsigned i = 0; i < loopOps; ++i) {
+            MicroOp &op = loop_[i];
+            op.pc = base + 4 * i;
+            op.nextPc = op.pc + 4;
+            if (i == 0) {
+                op.cls = OpClass::IntDiv;
+                op.dst = 1;
+                op.src1 = 1;
+                op.src2 = 2;
+            } else if (i + 1 == loopOps) {
+                op.cls = OpClass::Branch;
+                op.branch = BranchKind::Uncond;
+                op.taken = true;
+                op.targetPc = base;
+                op.nextPc = base;
+            } else {
+                op.cls = OpClass::IntAlu;
+                op.dst = static_cast<RegIndex>(3 + i % 16);
+                op.src1 = 1;
+            }
+        }
+    }
+
+    const MicroOp &
+    op(std::uint64_t index) override
+    {
+        return loop_[index % loopOps];
+    }
+
+    MicroOp
+    wrongPathOp(Addr pc, std::uint64_t) override
+    {
+        MicroOp op;
+        op.pc = pc;
+        op.nextPc = pc + 4;
+        op.cls = OpClass::IntAlu;
+        return op;
+    }
+
+    void discardBefore(std::uint64_t) override {}
+    const std::string &name() const override { return name_; }
+    bool isFpBenchmark() const override { return false; }
+
+  private:
+    static constexpr unsigned loopOps = 64;
+    MicroOp loop_[loopOps];
+    std::string name_ = "div-fanout";
+};
+
+void
+BM_IssueSelect(benchmark::State &state)
+{
+    CoreParams p = makeMachineConfig(3);
+    applyScheme(p, "dmdc-global");
+    DivFanoutWorkload w;
+    Pipeline pipe(p, w);
+    // Warm up past the cold I-cache and BTB so the IQ is full.
+    for (unsigned i = 0; i < 5000; ++i)
+        pipe.tick();
+    const std::uint64_t examined0 = pipe.selectExamined();
+    const std::uint64_t committed0 = pipe.committed();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(pipe.tick());
+    const double ticks = static_cast<double>(state.iterations());
+    state.counters["examined_per_tick"] =
+        static_cast<double>(pipe.selectExamined() - examined0) / ticks;
+    state.counters["ipc"] =
+        static_cast<double>(pipe.committed() - committed0) / ticks;
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IssueSelect);
 
 // ---- empty tick vs. skipped tick ------------------------------------
 

@@ -147,6 +147,15 @@ class RingBuffer
     T &operator[](std::size_t i) { return buf_[wrap(i)]; }
     const T &operator[](std::size_t i) const { return buf_[wrap(i)]; }
 
+    /**
+     * Storage slot of the element at logical position @p i. An
+     * element keeps its slot until it is popped, so slots are stable
+     * handles, and walking slots circularly from slotOf(0) visits
+     * elements oldest-first.
+     */
+    std::size_t slotOf(std::size_t i) const { return wrap(i); }
+    const T &atSlot(std::size_t slot) const { return buf_[slot]; }
+
     void
     push_back(const T &v)
     {

@@ -27,6 +27,13 @@ enum class InstStage : std::uint8_t
     Squashed,
 };
 
+/**
+ * A waiter-list link names one consumer source: the consumer's ROB
+ * slot times 4 plus the source index (0..2 for src1..src3). A
+ * consumer stays in the ROB while linked, so its slot identifies it.
+ */
+constexpr std::uint32_t noWaitLink = ~std::uint32_t{0};
+
 /** An in-flight dynamic instruction. */
 struct DynInst
 {
@@ -55,6 +62,19 @@ struct DynInst
     DynInst *renamePrev = nullptr;  ///< previous mapping of op.dst
     SeqNum renamePrevSeq = invalidSeqNum;
     bool inIssueQueue = false;
+
+    // ---- wakeup state (see Pipeline::registerWaits) ----
+    std::uint8_t pendingSrcs = 0; ///< issue-gating sources not yet done
+    std::uint8_t waitMask = 0;    ///< bit k: source k is on a waiter list
+    std::uint32_t robSlot = 0;    ///< ROB storage slot, set at dispatch
+    /**
+     * Waiter lists. @c waiters heads the list of consumer sources
+     * waiting on this instruction, youngest first; waitNext[k]
+     * continues a producer's list past this instruction's source k.
+     * A link is followed only while its waitMask bit is set.
+     */
+    std::uint32_t waiters = noWaitLink;
+    std::uint32_t waitNext[3] = {noWaitLink, noWaitLink, noWaitLink};
 
     // ---- branch state ----
     BranchPrediction pred;

@@ -5,8 +5,6 @@
 
 #include "core/issue_queue.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace dmdc
@@ -16,7 +14,6 @@ IssueQueue::IssueQueue(unsigned capacity) : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("issue queue capacity must be non-zero");
-    entries_.reserve(capacity);
 }
 
 void
@@ -24,29 +21,20 @@ IssueQueue::insert(DynInst *inst)
 {
     if (full())
         panic("issue queue insert on full queue");
-    if (!entries_.empty() && inst->seq <= entries_.back()->seq)
+    if (inst->seq <= youngest_)
         panic("issue queue insertion out of age order");
-    entries_.push_back(inst);
+    youngest_ = inst->seq;
+    ++size_;
     inst->inIssueQueue = true;
 }
 
 void
 IssueQueue::remove(DynInst *inst)
 {
-    auto it = std::find(entries_.begin(), entries_.end(), inst);
-    if (it == entries_.end())
+    if (!inst->inIssueQueue)
         panic("issue queue remove of an absent instruction");
-    entries_.erase(it);
+    --size_;
     inst->inIssueQueue = false;
-}
-
-void
-IssueQueue::squashFrom(SeqNum from_seq)
-{
-    while (!entries_.empty() && entries_.back()->seq >= from_seq) {
-        entries_.back()->inIssueQueue = false;
-        entries_.pop_back();
-    }
 }
 
 } // namespace dmdc

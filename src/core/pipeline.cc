@@ -67,12 +67,13 @@ Pipeline::Pipeline(const CoreParams &params, Workload &workload)
       rename_(params.intRegs, params.fpRegs),
       intIq_(params.intIqSize),
       fpIq_(params.fpIqSize),
+      ready_(params.robSize),
+      storeData_(params.robSize),
       fuPool_(params.fu),
       lsq_(params.lsq),
       fetchQueue_(params.fetchQueueSize),
       root_("sim")
 {
-    issueScratch_.reserve(params.issueWidth);
     regStats(root_);
 }
 
@@ -129,20 +130,106 @@ Pipeline::producerDone(const DynInst *producer, SeqNum pseq) const
     return producer->completed();
 }
 
-bool
-Pipeline::operandsReady(const DynInst *inst) const
+namespace
 {
-    if (!producerDone(inst->src1Producer, inst->src1ProducerSeq))
-        return false;
-    if (!producerDone(inst->src2Producer, inst->src2ProducerSeq))
-        return false;
-    // Store data (src3) is tracked separately; it does not gate
-    // address generation.
-    if (!inst->isStore() &&
-        !producerDone(inst->src3Producer, inst->src3ProducerSeq)) {
-        return false;
+
+/** Producer of source @p k (0..2 for src1..src3). */
+DynInst *
+producerOf(const DynInst *inst, unsigned k)
+{
+    return k == 0 ? inst->src1Producer
+        : k == 1  ? inst->src2Producer
+                  : inst->src3Producer;
+}
+
+SeqNum
+producerSeqOf(const DynInst *inst, unsigned k)
+{
+    return k == 0 ? inst->src1ProducerSeq
+        : k == 1  ? inst->src2ProducerSeq
+                  : inst->src3ProducerSeq;
+}
+
+/** Store data (a store's src3) does not gate address generation. */
+bool
+gatesIssue(const DynInst *inst, unsigned k)
+{
+    return k != 2 || !inst->isStore();
+}
+
+} // namespace
+
+/*
+ * Wakeup-driven select. At dispatch an instruction counts its
+ * issue-gating sources whose producer is not done (pendingSrcs) and
+ * links each not-done source, store data included, onto that
+ * producer's waiter list. Completion walks the list: a gating source
+ * decrements the count and a count of 0 sets the ROB slot in ready_;
+ * a store's data source sets the slot in storeData_. So between
+ * stages ready_ holds exactly the IQ entries whose gating producers
+ * are all done, and storeData_ exactly the stores still lacking data
+ * whose data producer is done.
+ */
+void
+Pipeline::registerWaits(DynInst *inst)
+{
+    for (unsigned k = 0; k < 3; ++k) {
+        if (producerDone(producerOf(inst, k), producerSeqOf(inst, k)))
+            continue;
+        DynInst *producer = producerOf(inst, k);
+        // Consumers dispatch in age order, so pushing at the head
+        // keeps every list youngest-first.
+        inst->waitNext[k] = producer->waiters;
+        producer->waiters = inst->robSlot * 4 + k;
+        inst->waitMask |= 1u << k;
+        if (gatesIssue(inst, k))
+            ++inst->pendingSrcs;
     }
-    return true;
+    if (inst->pendingSrcs == 0)
+        ready_.set(inst->robSlot);
+    if (inst->isStore() && !(inst->waitMask & (1u << 2)))
+        storeData_.set(inst->robSlot);
+}
+
+void
+Pipeline::wakeWaiters(DynInst *producer)
+{
+    std::uint32_t link = producer->waiters;
+    producer->waiters = noWaitLink;
+    while (link != noWaitLink) {
+        DynInst *waiter = rob_.atSlot(link >> 2);
+        const unsigned k = link & 3;
+        link = waiter->waitNext[k];
+        waiter->waitMask &= ~(1u << k);
+        if (!gatesIssue(waiter, k))
+            storeData_.set(waiter->robSlot);
+        else if (--waiter->pendingSrcs == 0)
+            ready_.set(waiter->robSlot);
+    }
+}
+
+void
+Pipeline::unlinkWaits(DynInst *inst)
+{
+    // Called from the ROB squash walk, youngest first: every younger
+    // waiter is already unlinked, so each link this instruction still
+    // holds heads its producer's list and pops in O(1). Sources pop
+    // in reverse registration order for the same reason. Links of
+    // completed producers were consumed by wakeWaiters and their
+    // waitMask bits cleared, so no stale link is followed.
+    for (unsigned k = 3; k-- > 0;) {
+        if (!(inst->waitMask & (1u << k)))
+            continue;
+        DynInst *producer = producerOf(inst, k);
+        if (producer->waiters != inst->robSlot * 4 + k)
+            panic("squashed waiter seq %llu is not its producer's "
+                  "youngest",
+                  static_cast<unsigned long long>(inst->seq));
+        producer->waiters = inst->waitNext[k];
+    }
+    inst->waitMask = 0;
+    ready_.clear(inst->robSlot);
+    storeData_.clear(inst->robSlot);
 }
 
 void
@@ -177,7 +264,7 @@ Pipeline::tick()
 
     unsigned progress = 0;
     progress += timed(pt.complete, [&] { return doCompletions(); });
-    progress += scanStoreData();
+    progress += drainStoreData();
     progress += timed(pt.commit, [&] { return doCommit(); });
     progress += timed(pt.issue, [&] { return doIssue(); });
     if (pendingReplay_ && pendingAgeReplay_) {
@@ -319,7 +406,7 @@ Pipeline::doDispatch()
             break;
         if (rob_.full() || !rename_.canRename(inst->op))
             break;
-        IssueQueue &iq = inst->op.isFp() ? fpIq_ : intIq_;
+        IssueQueue &iq = issueQueueOf(inst);
         if (iq.full())
             break;
         if (inst->isLoad() && !lsq_.canDispatchLoad())
@@ -336,6 +423,7 @@ Pipeline::doDispatch()
         if (owned->isStore())
             lsq_.dispatchStore(owned);
         owned->stage = InstStage::Dispatched;
+        registerWaits(owned);
         ++dispatched;
     }
     if (dispatched)
@@ -414,37 +502,26 @@ Pipeline::doIssue()
         it = retryLoads_.erase(it);
     }
 
-    // Merge the two issue queues oldest-first.
-    unsigned issued = 0;
-    std::size_t ii = 0;
-    std::size_t fi = 0;
-    const auto &iv = intIq_.entries();
-    const auto &fv = fpIq_.entries();
-    std::vector<DynInst *> &picked = issueScratch_;
-    picked.clear();
-
-    while (issued + static_cast<unsigned>(picked.size()) <
-               params_.issueWidth &&
-           (ii < iv.size() || fi < fv.size())) {
-        DynInst *inst;
-        if (fi >= fv.size() ||
-            (ii < iv.size() && iv[ii]->seq < fv[fi]->seq)) {
-            inst = iv[ii++];
-        } else {
-            inst = fv[fi++];
-        }
-        if (!operandsReady(inst))
-            continue;
+    // Select walks only the ready set, oldest first: ROB order is seq
+    // order, i.e. the merged INT/FP age order.
+    unsigned picked = 0;
+    ready_.forEachFrom(rob_.headSlot(), [&](std::size_t slot) {
+        if (picked >= params_.issueWidth)
+            return false;
+        ++selectExamined_;
+        DynInst *inst = rob_.atSlot(slot);
         if (inst->isLoad() && dcachePortsUsed_ >= params_.l1dPorts)
-            continue;
+            return true;
         unsigned latency = 0;
         if (!fuPool_.tryIssue(inst->op.cls, latency))
-            continue;
+            return true;
 
+        ready_.clear(slot);
+        issueQueueOf(inst).remove(inst);
+        ++picked;
         inst->stage = InstStage::Issued;
         inst->issueCycle = now_;
         regfile_.noteIssueReads(inst);
-        picked.push_back(inst);
 
         if (inst->isLoad()) {
             issueLoad(inst);
@@ -460,18 +537,12 @@ Pipeline::doIssue()
             // Branches resolve at completion; ALU ops simply finish.
             scheduleCompletion(inst, now_ + latency);
         }
-    }
+        return true;
+    });
 
-    for (DynInst *inst : picked) {
-        if (inst->op.isFp())
-            fpIq_.remove(inst);
-        else
-            intIq_.remove(inst);
-    }
-    if (!picked.empty())
-        stats_.issued += picked.size();
-    progress += static_cast<unsigned>(picked.size());
-    return progress;
+    if (picked)
+        stats_.issued += picked;
+    return progress + picked;
 }
 
 // --------------------------------------------------------------------
@@ -501,6 +572,7 @@ Pipeline::completeInst(DynInst *inst)
     inst->stage = InstStage::Done;
     inst->doneCycle = now_;
     regfile_.noteWriteback(inst);
+    wakeWaiters(inst);
 
     if (inst->isBranch())
         resolveBranch(inst);
@@ -561,15 +633,15 @@ Pipeline::resolveBranch(DynInst *inst)
 }
 
 unsigned
-Pipeline::scanStoreData()
+Pipeline::drainStoreData()
 {
+    // ROB order is SQ age order.
     unsigned became_ready = 0;
-    lsq_.storeQueue().forEach([this, &became_ready](DynInst *store) {
-        if (!store->sqDataReady &&
-            producerDone(store->src3Producer, store->src3ProducerSeq)) {
-            lsq_.storeDataReady(store);
-            ++became_ready;
-        }
+    storeData_.forEachFrom(rob_.headSlot(), [&](std::size_t slot) {
+        storeData_.clear(slot);
+        lsq_.storeDataReady(rob_.atSlot(slot));
+        ++became_ready;
+        return true;
     });
     return became_ready;
 }
@@ -692,8 +764,6 @@ Pipeline::squashFrom(SeqNum from_seq)
     std::erase_if(retryLoads_, [from_seq](const DynInst *inst) {
         return inst->seq >= from_seq;
     });
-    intIq_.squashFrom(from_seq);
-    fpIq_.squashFrom(from_seq);
     lsq_.squashFrom(from_seq);
 
     while (!fetchQueue_.empty() &&
@@ -705,6 +775,9 @@ Pipeline::squashFrom(SeqNum from_seq)
     const SeqNum oldest_active =
         rob_.empty() ? invalidSeqNum : rob_.head()->seq;
     rob_.squashFrom(from_seq, [this, oldest_active](DynInst *inst) {
+        unlinkWaits(inst);
+        if (inst->inIssueQueue)
+            issueQueueOf(inst).remove(inst);
         rename_.squash(inst, oldest_active);
     });
 }

@@ -167,6 +167,25 @@ class Pipeline
         rob_.setRetireObserver(oracle);
     }
 
+    /**
+     * Ready-set entries select has examined since construction, a
+     * deterministic work counter. It is kept out of the stats tree
+     * (and not reset with it), so --stats output, journals and cache
+     * entries are unaffected by it.
+     */
+    std::uint64_t selectExamined() const { return selectExamined_; }
+
+    /** The wakeup structures, exposed read-only for equivalence tests. */
+    struct WakeupView
+    {
+        const Rob &rob;
+        const SlotBitmap &ready;      ///< IQ entries with all gating
+                                      ///< producers done
+        const SlotBitmap &storeData;  ///< stores whose data producer
+                                      ///< is done, awaiting the drain
+    };
+    WakeupView wakeupView() const { return {rob_, ready_, storeData_}; }
+
     /** Zero all statistics (end-of-warm-up). */
     void resetStats();
 
@@ -181,8 +200,10 @@ class Pipeline
         DynInst *inst;
     };
 
-    bool operandsReady(const DynInst *inst) const;
     bool producerDone(const DynInst *producer, SeqNum pseq) const;
+    void registerWaits(DynInst *inst);
+    void wakeWaiters(DynInst *producer);
+    void unlinkWaits(DynInst *inst);
     void scheduleCompletion(DynInst *inst, Cycle when);
     unsigned doFetch();
     unsigned doDispatch();
@@ -192,10 +213,14 @@ class Pipeline
     unsigned doCompletions();
     void completeInst(DynInst *inst);
     void resolveBranch(DynInst *inst);
-    unsigned scanStoreData();
+    unsigned drainStoreData();
     unsigned doCommit();
     void squashFrom(SeqNum from_seq);
     void replayFrom(DynInst *load);
+    IssueQueue &issueQueueOf(const DynInst *inst)
+    {
+        return inst->op.isFp() ? fpIq_ : intIq_;
+    }
 
     CoreParams params_;
     Workload &workload_;
@@ -208,6 +233,9 @@ class Pipeline
     RenameState rename_;
     IssueQueue intIq_;
     IssueQueue fpIq_;
+    SlotBitmap ready_;       ///< ROB slots of issue-ready IQ entries
+    SlotBitmap storeData_;   ///< ROB slots of stores whose data is
+                             ///< ready but not yet marked in the SQ
     FuPool fuPool_;
     RegFileActivity regfile_;
     LsqUnit lsq_;
@@ -216,8 +244,8 @@ class Pipeline
     RingBuffer<DynInst *> fetchQueue_;
     std::vector<Event> completions_;    ///< min-heap on (when, seq)
     std::vector<DynInst *> retryLoads_; ///< rejected loads awaiting retry
-    std::vector<DynInst *> issueScratch_; ///< per-tick issue pick list
     unsigned dcachePortsUsed_ = 0;
+    std::uint64_t selectExamined_ = 0;
     Cycle lastCommitCycle_ = 0;
     std::uint64_t lastDmdcReplayIndex_ = ~std::uint64_t{0};
     DynInst *pendingReplay_ = nullptr;  ///< deferred violation victim

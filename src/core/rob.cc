@@ -25,6 +25,8 @@ Rob::allocate(DynInst *inst)
     if (!insts_.empty() && inst->seq <= insts_.back()->seq)
         panic("ROB allocation out of age order");
     insts_.push_back(inst);
+    inst->robSlot = static_cast<std::uint32_t>(
+        insts_.slotOf(insts_.size() - 1));
     return inst;
 }
 

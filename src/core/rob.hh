@@ -51,7 +51,10 @@ class Rob
         return static_cast<unsigned>(insts_.capacity());
     }
 
-    /** Append at the tail (program order). The ROB takes ownership. */
+    /**
+     * Append at the tail (program order). The ROB takes ownership and
+     * records the entry's storage slot in DynInst::robSlot.
+     */
     DynInst *allocate(DynInst *inst);
 
     /** Oldest instruction, or nullptr when empty. */
@@ -66,6 +69,18 @@ class Rob
     /** Youngest instruction, or nullptr when empty. */
     DynInst *tail() { return insts_.empty() ? nullptr
                                             : insts_.back(); }
+
+    /**
+     * Storage slot of the head. Slots taken circularly from here
+     * visit the ROB oldest-first, i.e. in seq order.
+     */
+    std::size_t headSlot() const { return insts_.slotOf(0); }
+
+    /** The live instruction in storage slot @p slot. */
+    DynInst *atSlot(std::size_t slot) const
+    {
+        return insts_.atSlot(slot);
+    }
 
     /** Retire the head instruction (must exist); recycles it. */
     void retireHead();
@@ -87,7 +102,7 @@ class Rob
     /** Iterate oldest to youngest. */
     template <typename Fn>
     void
-    forEach(Fn &&fn)
+    forEach(Fn &&fn) const
     {
         for (std::size_t i = 0; i < insts_.size(); ++i)
             fn(insts_[i]);

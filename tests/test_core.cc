@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/fu_pool.hh"
 #include "core/issue_queue.hh"
@@ -159,21 +160,82 @@ TEST(Rename, FpAndIntFilesIndependent)
 
 TEST(IssueQueue, InsertRemoveSquash)
 {
-    IssueQueue iq(4);
-    auto a = makeInst(1);
-    auto b = makeInst(2);
-    auto c = makeInst(3);
-    iq.insert(a.get());
-    iq.insert(b.get());
-    iq.insert(c.get());
+    // The pipeline squashes IQ entries from the ROB's youngest-first
+    // squash walk; this drives the queue the same way.
+    DynInstPool pool(4);
+    Rob rob(4, pool);
+    IssueQueue iq(3);
+    DynInst *a = rob.allocate(poolInst(pool, 1));
+    DynInst *b = rob.allocate(poolInst(pool, 2));
+    DynInst *c = rob.allocate(poolInst(pool, 3));
+    iq.insert(a);
+    iq.insert(b);
+    iq.insert(c);
     EXPECT_TRUE(a->inIssueQueue);
-    iq.remove(b.get());
+    EXPECT_TRUE(iq.full());
+    iq.remove(b);   // b issues
     EXPECT_FALSE(b->inIssueQueue);
     EXPECT_EQ(iq.size(), 2u);
-    iq.squashFrom(3);
+    EXPECT_FALSE(iq.full());
+
+    std::vector<SeqNum> squashed;
+    rob.squashFrom(3, [&](DynInst *inst) {
+        if (inst->inIssueQueue) {
+            squashed.push_back(inst->seq);
+            iq.remove(inst);
+        }
+    });
+    ASSERT_EQ(squashed.size(), 1u);
+    EXPECT_EQ(squashed[0], 3u);
     EXPECT_EQ(iq.size(), 1u);
-    EXPECT_FALSE(c->inIssueQueue);
-    EXPECT_EQ(iq.entries().front(), a.get());
+    EXPECT_TRUE(a->inIssueQueue);
+
+    // Seqs are never recycled: a younger dispatch is accepted, an
+    // older one is an age-order violation.
+    DynInst *d = rob.allocate(poolInst(pool, 4));
+    iq.insert(d);
+    EXPECT_EQ(iq.size(), 2u);
+    EXPECT_DEATH(iq.insert(poolInst(pool, 2)), ".*age order.*");
+    EXPECT_DEATH(iq.remove(b), ".*absent.*");
+}
+
+TEST(SlotBitmap, WalksSetSlotsCircularlyFromStart)
+{
+    SlotBitmap bits(130);
+    for (std::size_t slot : {0u, 5u, 63u, 64u, 100u, 129u})
+        bits.set(slot);
+    bits.set(0);    // already set: no double count
+    bits.clear(5);
+    bits.clear(6);  // never set
+    EXPECT_TRUE(bits.test(64));
+    EXPECT_FALSE(bits.test(5));
+    EXPECT_EQ(bits.count(), 5u);
+
+    std::vector<std::size_t> order;
+    bits.forEachFrom(100, [&](std::size_t slot) {
+        order.push_back(slot);
+        return true;
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{100, 129, 0, 63, 64}));
+
+    // The walk stops when the visitor says so and tolerates the
+    // visitor clearing the slot it was given.
+    order.clear();
+    bits.forEachFrom(64, [&](std::size_t slot) {
+        order.push_back(slot);
+        bits.clear(slot);
+        return order.size() < 3;
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{64, 100, 129}));
+    EXPECT_FALSE(bits.test(129));
+    EXPECT_TRUE(bits.test(0));
+    EXPECT_EQ(bits.count(), 2u);
+
+    SlotBitmap empty(64);
+    empty.forEachFrom(0, [](std::size_t) {
+        ADD_FAILURE() << "visited a slot of an empty bitmap";
+        return true;
+    });
 }
 
 TEST(FuPool, PerCycleBandwidth)

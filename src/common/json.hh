@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal JSON value tree + strict parser: the only JSON reader in
- * the repo. Service frames, run-cache entries, shard heartbeats,
- * campaign and bench journals, and trace files all parse through
+ * the repo. Service frames, run-cache entries, campaign and bench
+ * journals, and trace files all parse through
  * parseJson() and the typed field accessors below, so every reader of
  * untrusted bytes shares one grammar and one set of range checks.
  * Two properties matter more than generality:

@@ -27,9 +27,9 @@
  * from campaign workers that have already been joined.
  *
  * Multi-process campaigns: each process writes its own trace file
- * (shard workers derive "trace.shard0of2.json" from the base path the
- * way heartbeat files do) and tools/trace_merge combines them —
- * process ids keep the streams apart inside one merged timeline.
+ * (a --shard=0/2 process derives "trace.shard0of2.json" from the base
+ * path) and tools/trace_merge combines them — process ids keep the
+ * streams apart inside one merged timeline.
  */
 
 #ifndef DMDC_COMMON_TRACE_SINK_HH
@@ -202,7 +202,7 @@ std::uint64_t traceRecordsPublished();
 
 /**
  * Insert @p tag before the filename extension: ("trace.json",
- * ".supervisor") -> "trace.supervisor.json"; appended when the file
+ * ".shard0of2") -> "trace.shard0of2.json"; appended when the file
  * has no extension. Used to keep cooperating processes from
  * colliding on one trace file.
  */
@@ -211,9 +211,8 @@ std::string tracePathWithTag(const std::string &path,
 
 /**
  * Derive the per-process trace path for shard @p index of @p count:
- * "trace.json" -> "trace.shard0of2.json" (unchanged when count <= 1).
- * Mirrors shardFilePath() so multi-process campaigns never collide
- * on one output file.
+ * "trace.json" -> "trace.shard0of2.json" (unchanged when count <= 1),
+ * so multi-process campaigns never collide on one output file.
  */
 std::string traceShardPath(const std::string &path, unsigned index,
                            unsigned count);

@@ -56,10 +56,6 @@ applyItem(FaultSpec &spec, const std::string &item, std::string &err)
         spec.runThrowP = p;
     else if (site == "run-hang")
         spec.runHangP = p;
-    else if (site == "worker-crash")
-        spec.workerCrashP = p;
-    else if (site == "worker-hang")
-        spec.workerHangP = p;
     else if (site == "serve-crash")
         spec.serveCrashP = p;
     else if (site == "frame-truncate")
@@ -71,8 +67,7 @@ applyItem(FaultSpec &spec, const std::string &item, std::string &err)
     else {
         err = "unknown fault site '" + site +
             "' (sites: cache-corrupt, run-throw, run-hang, "
-            "worker-crash, worker-hang, serve-crash, frame-truncate, "
-            "client-stall, lsq-corrupt)";
+            "serve-crash, frame-truncate, client-stall, lsq-corrupt)";
         return false;
     }
     return true;
@@ -154,20 +149,6 @@ bool
 FaultInjector::injectCacheCorrupt(const std::string &key) const
 {
     return decide("cache-corrupt", key, 0, spec_.cacheCorruptP);
-}
-
-bool
-FaultInjector::injectWorkerCrash(const std::string &key,
-                                 unsigned attempt) const
-{
-    return decide("worker-crash", key, attempt, spec_.workerCrashP);
-}
-
-bool
-FaultInjector::injectWorkerHang(const std::string &key,
-                                unsigned attempt) const
-{
-    return decide("worker-hang", key, attempt, spec_.workerHangP);
 }
 
 bool

@@ -15,6 +15,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -561,7 +562,6 @@ struct ServiceDaemon::Impl
         CampaignConfig wc = daemon.options_.campaign;
         wc.jobs = 1;
         wc.shard = ShardSpec{};
-        wc.heartbeatPath.clear();
         wc.failFast = false;
         CampaignRunner runner(wc);
         traceSetThreadName("serve-worker-" + std::to_string(w));
@@ -1094,11 +1094,31 @@ struct ServiceDaemon::Impl
 ServiceDaemon::ServiceDaemon(ServiceOptions options)
     : options_(std::move(options)), impl_(new Impl(*this))
 {
+    if (::pipe2(wakePipe_, O_NONBLOCK | O_CLOEXEC) != 0)
+        wakePipe_[0] = wakePipe_[1] = -1;
 }
 
 ServiceDaemon::~ServiceDaemon()
 {
     delete impl_;
+    for (int fd : wakePipe_) {
+        if (fd >= 0)
+            ::close(fd);
+    }
+}
+
+void
+ServiceDaemon::requestStop()
+{
+    stopRequested_.store(true);
+    // A full pipe (EAGAIN) already holds a pending wakeup. errno is
+    // restored because a signal handler may interrupt code that is
+    // about to read it.
+    if (wakePipe_[1] >= 0) {
+        const int savedErrno = errno;
+        [[maybe_unused]] const ssize_t n = ::write(wakePipe_[1], "", 1);
+        errno = savedErrno;
+    }
 }
 
 ServiceStats
@@ -1183,9 +1203,10 @@ ServiceDaemon::start(std::string &err)
 int
 ServiceDaemon::serve()
 {
-    // Poll-with-timeout accept loop so requestStop() (signal handler
-    // or a client's shutdown op) is noticed promptly. Each tick also
-    // reaps finished connection threads and orphaned campaigns.
+    // Poll-with-timeout accept loop: requestStop() (signal handler or
+    // a client's shutdown op) wakes it at once through the self-pipe,
+    // and the 200 ms tick reaps finished connection threads and
+    // orphaned campaigns.
     while (!stopRequested_.load()) {
         {
             std::lock_guard<std::mutex> lock(impl_->m);
@@ -1201,15 +1222,17 @@ ServiceDaemon::serve()
             }
         }
 
-        pollfd pfd{impl_->listenFd, POLLIN, 0};
-        const int rc = ::poll(&pfd, 1, 200);
+        pollfd pfds[2] = {{impl_->listenFd, POLLIN, 0},
+                          {wakePipe_[0], POLLIN, 0}};
+        const int rc = ::poll(pfds, wakePipe_[0] >= 0 ? 2 : 1, 200);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             warn("serve: poll: %s", std::strerror(errno));
             break;
         }
-        if (rc == 0 || !(pfd.revents & POLLIN))
+        if (rc == 0 || stopRequested_.load() ||
+            !(pfds[0].revents & POLLIN))
             continue;
         const int fd = ::accept(impl_->listenFd, nullptr, nullptr);
         if (fd < 0) {

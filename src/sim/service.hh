@@ -197,9 +197,10 @@ class ServiceDaemon
     /** Accept/dispatch until stopped. Returns a process exit code. */
     int serve();
 
-    /** Ask serve() to wind down (async-signal-safe: sets a flag the
-     *  accept loop polls). */
-    void requestStop() { stopRequested_.store(true); }
+    /** Ask serve() to wind down. Async-signal-safe: sets the flag
+     *  the accept loop checks and writes one byte to its wake pipe,
+     *  so a blocked poll() returns at once. */
+    void requestStop();
 
     const ServiceOptions &options() const { return options_; }
     ServiceStats statsSnapshot() const;
@@ -208,6 +209,9 @@ class ServiceDaemon
     struct Impl;
     ServiceOptions options_;
     std::atomic<bool> stopRequested_{false};
+    /** Self-pipe in the accept loop's poll set (read end, write end);
+     *  -1 when it could not be created, leaving the 200 ms tick. */
+    int wakePipe_[2] = {-1, -1};
     Impl *impl_; ///< raw: Impl is defined only in service.cc
 
     friend struct Impl;

@@ -3,20 +3,30 @@
  * Tests of the fault-tolerance layer: structured errors and option
  * validation, the deterministic fault injector, per-run isolation and
  * retries in the campaign engine, watchdog timeouts, cache corruption
- * handling (quarantine + recompute), LRU eviction, and resume over
- * the run cache with bit-identical journals.
+ * handling (quarantine + recompute), LRU eviction, resume over the
+ * run cache with bit-identical journals, and the two-stage
+ * SIGINT/SIGTERM drain of a real dmdc_sim campaign process (the
+ * binary's location comes from CMake via DMDC_SIM_BIN).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <thread>
+
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "sim/cache_store.hh"
 #include "sim/campaign_runner.hh"
 #include "sim/campaign_shard.hh"
+#include "sim/cli_options.hh"
 #include "sim/fault_injector.hh"
 #include "sim/run_error.hh"
 #include "sim/simulator.hh"
@@ -133,11 +143,13 @@ TEST(FaultSpecParse, EmptyDisables)
 
 TEST(FaultSpecParse, RejectsUnknownSite)
 {
-    try {
-        (void)parseFaultSpec("disk-on-fire:p=0.5");
-        FAIL() << "expected RunError";
-    } catch (const RunError &e) {
-        EXPECT_EQ(e.category(), RunErrorCategory::Config);
+    for (const char *spec : {"disk-on-fire:p=0.5", "worker-crash:p=0.5"}) {
+        try {
+            (void)parseFaultSpec(spec);
+            FAIL() << "expected RunError for " << spec;
+        } catch (const RunError &e) {
+            EXPECT_EQ(e.category(), RunErrorCategory::Config) << spec;
+        }
     }
 }
 
@@ -689,6 +701,128 @@ TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)
     const std::string res = slurp(res_path);
     ASSERT_FALSE(ref.empty());
     EXPECT_EQ(ref, res);
+}
+
+// ---- SIGINT/SIGTERM drain of a dmdc_sim campaign ----------------------
+
+/** Start dmdc_sim with @p args, stdout/stderr discarded. */
+pid_t
+spawnSim(std::vector<std::string> args)
+{
+    args.insert(args.begin(), DMDC_SIM_BIN);
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int null = ::open("/dev/null", O_WRONLY);
+        if (null >= 0) {
+            ::dup2(null, 1);
+            ::dup2(null, 2);
+        }
+        ::execv(argv[0], argv.data());
+        ::_exit(127);
+    }
+    return pid;
+}
+
+/** Reap @p pid: its exit code, 128+sig if killed, -1 on error. */
+int
+waitExit(pid_t pid)
+{
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid)
+        return -1;
+    if (WIFEXITED(status))
+        return WEXITSTATUS(status);
+    return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : -1;
+}
+
+/** Poll until @p cache holds a first entry; false (child reaped) if
+ *  @p pid exits first or nothing appears within a minute. */
+bool
+waitForFirstEntry(const fs::path &cache, pid_t pid)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (countFiles(cache) > 0)
+            return true;
+        int status = 0;
+        if (::waitpid(pid, &status, WNOHANG) == pid)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ::kill(pid, SIGKILL);
+    waitExit(pid);
+    return false;
+}
+
+/** The 8-run campaign the drain test interrupts and resumes. */
+std::vector<std::string>
+drainCampaign(const fs::path &cache, const fs::path &journal)
+{
+    return {"--bench=gzip,swim,vpr,mcf", "--scheme=baseline,dmdc-global",
+            "--insts=200000", "--jobs=1", "--json-deterministic",
+            "--cache-dir=" + cache.string(), "--json=" + journal.string()};
+}
+
+TEST_F(FaultTolerance, SigtermDrainsAndRerunConverges)
+{
+    const fs::path ref = scratch_ / "serial.json";
+    ASSERT_EQ(waitExit(spawnSim(drainCampaign(scratch_ / "ref_cache",
+                                              ref))),
+              0);
+
+    // SIGTERM once the first run is cached: the in-flight run
+    // finishes, pending ones skip, the journal flushes, exit 5.
+    const fs::path cache = scratch_ / "cache";
+    const fs::path res = scratch_ / "resumed.json";
+    const pid_t pid = spawnSim(drainCampaign(cache, res));
+    ASSERT_TRUE(waitForFirstEntry(cache, pid));
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    EXPECT_EQ(waitExit(pid), kExitInterrupted);
+    const std::size_t cached = countFiles(cache);
+    EXPECT_GE(cached, 1u);
+    EXPECT_LT(cached, 8u) << "the interrupt skipped no run";
+
+    // Rerunning the same command over the same cache completes the
+    // campaign without losing the drained process's work.
+    ASSERT_EQ(waitExit(spawnSim(drainCampaign(cache, res))), 0);
+    const std::string serial = slurp(ref);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(slurp(res), serial);
+}
+
+TEST_F(FaultTolerance, SecondSigtermExitsAtOnce)
+{
+    // Long runs keep the first signal's drain far from done when the
+    // second one lands. The first signal waits until the second run
+    // is in flight: one landing between runs drains at once.
+    const fs::path cache = scratch_ / "cache";
+    const pid_t pid = spawnSim(
+        {"--bench=gzip,swim,vpr,mcf", "--scheme=baseline",
+         "--insts=1000000", "--jobs=1",
+         "--cache-dir=" + cache.string()});
+    ASSERT_TRUE(waitForFirstEntry(cache, pid));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    const std::size_t cached = countFiles(cache);
+    // Repeat the signal until the process is gone: one sent before
+    // the first was handled can merge with it (pending signals do not
+    // queue, and TSan defers handlers).
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ::kill(pid, SIGTERM);
+    }
+    ASSERT_EQ(reaped, pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 128 + SIGTERM);
+    // The in-flight run was abandoned, not finished and cached.
+    EXPECT_EQ(countFiles(cache), cached);
 }
 
 } // namespace

@@ -87,18 +87,21 @@ argValue(const JsonValue &event)
 
 TEST(TraceSink, PathHelpers)
 {
-    EXPECT_EQ(tracePathWithTag("trace.json", ".supervisor"),
-              "trace.supervisor.json");
-    EXPECT_EQ(tracePathWithTag("out/trace.json", ".supervisor"),
-              "out/trace.supervisor.json");
-    EXPECT_EQ(tracePathWithTag("tracefile", ".supervisor"),
-              "tracefile.supervisor");
+    EXPECT_EQ(tracePathWithTag("trace.json", ".tag"),
+              "trace.tag.json");
+    EXPECT_EQ(tracePathWithTag("out/trace.json", ".tag"),
+              "out/trace.tag.json");
+    EXPECT_EQ(tracePathWithTag("tracefile", ".tag"),
+              "tracefile.tag");
     EXPECT_EQ(tracePathWithTag("a.b/tracefile", ".x"),
               "a.b/tracefile.x");
     EXPECT_EQ(traceShardPath("trace.json", 0, 2),
               "trace.shard0of2.json");
     EXPECT_EQ(traceShardPath("trace.json", 1, 2),
               "trace.shard1of2.json");
+    // The suffix precedes the last extension only.
+    EXPECT_EQ(traceShardPath("out/campaign.trace.json", 1, 4),
+              "out/campaign.trace.shard1of4.json");
     EXPECT_EQ(traceShardPath("trace.json", 0, 1), "trace.json");
     EXPECT_EQ(traceShardPath("trace.json", 0, 0), "trace.json");
 }

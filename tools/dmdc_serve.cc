@@ -34,9 +34,9 @@
  * pool and deduplicates overlapping runs by cache key, so a triple
  * submitted by five clients is simulated exactly once. SIGINT/SIGTERM
  * (or a client's shutdown op) drain gracefully: in-flight runs
- * finish, queued work is skipped, and the socket is removed. The
- * daemon publishes no heartbeat file: `dmdc_client stats` asks the
- * live daemon what it has executed, simulated and deduplicated.
+ * finish, queued work is skipped, and the socket is removed.
+ * `dmdc_client stats` asks the live daemon what it has executed,
+ * simulated and deduplicated.
  *
  * Crash recovery is resubmission: the run cache is the only durable
  * state. Resuming is restarting: a daemon killed outright (SIGKILL,

@@ -35,9 +35,6 @@
  *                           manifest to <path>
  *     --json-deterministic  strip timestamps/wall-clock/attempts from
  *                           the journal and sort records canonically
- *     --heartbeat=<path>    publish an atomic per-run heartbeat file
- *                           (supervised-worker mode: SIGINT/SIGTERM
- *                           drain gracefully and exit 5)
  *     --check=<mode>        off | oracle | litmus: attach the
  *                           commit-time ordering oracle (and, for
  *                           litmus, a scripted coherence agent) to
@@ -81,7 +78,6 @@
 #include "sim/run_error.hh"
 #include "sim/service.hh"
 #include "sim/simulator.hh"
-#include "sim/supervisor.hh"
 #include "trace/spec_suite.hh"
 
 using namespace dmdc;
@@ -224,10 +220,10 @@ runCampaign(const std::vector<SimOptions> &runs,
     flushCampaignJournal();
 
     // A signal-interrupted campaign has flushed its journal; the
-    // distinct exit code tells a supervisor (or script) that rerunning
-    // the same command will converge. Checked before the failure rules:
-    // an interrupt that lands before any run succeeds is still an
-    // interrupt, not a failed campaign.
+    // distinct exit code tells the caller (a script, a batch system)
+    // that rerunning the same command will converge. Checked before
+    // the failure rules: an interrupt that lands before any run
+    // succeeds is still an interrupt, not a failed campaign.
     if (campaignInterruptRequested()) {
         std::printf("campaign interrupted; rerun the same command "
                     "to continue\n");
@@ -349,10 +345,7 @@ main(int argc, char **argv)
         }
     }
 
-    // --heartbeat marks a supervised worker: always campaign mode
-    // (heartbeats, journal, kExitInterrupted) even for one run.
-    if (runs.size() > 1 || campaign_cfg.shard.active() ||
-        campaign.workerMode) {
+    if (runs.size() > 1 || campaign_cfg.shard.active()) {
         if (dump_stats || dump_energy) {
             std::fprintf(stderr, "dmdc_sim: --stats/--energy need a "
                                  "single run, not a campaign\n");
@@ -361,7 +354,7 @@ main(int argc, char **argv)
         // Two-stage SIGINT/SIGTERM: finish the in-flight run, flush
         // the journal, exit kExitInterrupted; signal again to die
         // immediately.
-        installWorkerSignalHandlers();
+        installCampaignSignalHandlers();
         return runCampaign(runs, campaign_cfg);
     }
 

@@ -1,38 +1,46 @@
 # Tracing smoke test (driven by ctest, see CMakeLists.txt).
 #
-# Runs one small campaign through campaign_launch with two supervised
-# shard workers and --trace=all. Every process writes its own Chrome
-# trace file (the launcher a .supervisor-tagged one, each worker a
-# shard-tagged one); trace_merge must combine them into a document
-# that re-validates, carries events from all three instrumented
-# layers (kernel, runner, supervisor), and the traced campaign's
-# journal must stay byte-identical to an untraced serial run.
+# Runs one small campaign as two dmdc_sim --shard=i/2 processes with
+# --trace=all over a shared run cache. Each process writes its own
+# shard-tagged Chrome trace file; trace_merge must combine them into a
+# document that re-validates and carries events from both
+# instrumented layers (kernel, runner), and journal_merge of the
+# traced shard journals must stay byte-identical to an untraced
+# serial run.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(campaign
-    --bench=gzip,swim --scheme=baseline,yla --insts=20000 --warmup=2000)
+    --bench=gzip,swim --scheme=baseline,yla --insts=20000 --warmup=2000
+    --json-deterministic)
 
 execute_process(
     COMMAND ${DMDC_SIM} ${campaign} --cache-dir=${WORK_DIR}/serial_cache
-            --json-deterministic --json=${WORK_DIR}/serial.json
+            --json=${WORK_DIR}/serial.json
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "serial campaign failed (exit ${rc})")
 endif()
 
+foreach(shard 0 1)
+    execute_process(
+        COMMAND ${DMDC_SIM} ${campaign} --shard=${shard}/2 --jobs=2
+                --cache-dir=${WORK_DIR}/traced_cache
+                --trace=all --trace-out=${WORK_DIR}/trace.json
+                --json=${WORK_DIR}/shard${shard}.json
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "traced shard ${shard}/2 failed (exit ${rc})")
+    endif()
+endforeach()
+
 execute_process(
-    COMMAND ${CAMPAIGN_LAUNCH} --procs=2
-            --trace=all --trace-out=${WORK_DIR}/trace.json
-            --launch-dir=${WORK_DIR}/launch
-            --out=${WORK_DIR}/merged.json
-            ${campaign} --cache-dir=${WORK_DIR}/traced_cache --jobs=2
+    COMMAND ${JOURNAL_MERGE} ${WORK_DIR}/shard0.json
+            ${WORK_DIR}/shard1.json --out=${WORK_DIR}/merged.json
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "traced supervised launch failed (exit ${rc}); see "
-        "${WORK_DIR}/launch/shard*.log")
+    message(FATAL_ERROR "journal_merge failed (exit ${rc})")
 endif()
 
 # Tracing must not perturb results: the traced campaign's merged
@@ -46,8 +54,7 @@ if(NOT rc EQUAL 0)
         "traced merged journal differs from the serial journal")
 endif()
 
-foreach(part trace.supervisor.json trace.shard0of2.json
-             trace.shard1of2.json)
+foreach(part trace.shard0of2.json trace.shard1of2.json)
     if(NOT EXISTS "${WORK_DIR}/${part}")
         message(FATAL_ERROR "expected trace file ${part} was not "
                             "written")
@@ -56,7 +63,6 @@ endforeach()
 
 execute_process(
     COMMAND ${TRACE_MERGE}
-            ${WORK_DIR}/trace.supervisor.json
             ${WORK_DIR}/trace.shard0of2.json
             ${WORK_DIR}/trace.shard1of2.json
             --out=${WORK_DIR}/trace.merged.json
@@ -77,7 +83,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 file(READ "${WORK_DIR}/trace.merged.json" merged_trace)
-foreach(cat kernel runner supervisor)
+foreach(cat kernel runner)
     string(FIND "${merged_trace}" "\"cat\":\"${cat}\"" pos)
     if(pos EQUAL -1)
         message(FATAL_ERROR
@@ -85,5 +91,5 @@ foreach(cat kernel runner supervisor)
     endif()
 endforeach()
 
-message(STATUS "trace smoke: merged trace spans all three layers and "
-               "the traced journal is byte-identical")
+message(STATUS "trace smoke: merged trace has kernel and runner "
+               "events and the traced journal is byte-identical")

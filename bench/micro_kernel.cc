@@ -4,15 +4,17 @@
  * paths: DynInst pool recycling vs. heap allocation, the store
  * queue's O(1) safe-load check and binary-search load probe, the
  * checking table's occupancy pre-filter, wakeup-driven issue select
- * over a full issue queue, the cost of an empty pipeline tick vs. one
- * bulk-skipped idle cycle, and the trace-sink call sites (disabled
- * vs. recording). These document the
+ * over a full issue queue, the calendar completion queue vs. a
+ * (when, seq) heap, table-driven op generation, the cost of an empty
+ * pipeline tick vs. one bulk-skipped idle cycle, and the trace-sink
+ * call sites (disabled vs. recording). These document the
  * kernel-performance architecture (DESIGN.md Sec. 15) and guard the
  * fast paths against accidental complexity regressions.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "common/object_pool.hh"
 #include "common/random.hh"
 #include "common/trace_sink.hh"
+#include "core/completion_queue.hh"
 #include "core/pipeline.hh"
 #include "lsq/checking_table.hh"
 #include "lsq/store_queue.hh"
@@ -265,6 +268,143 @@ BM_IssueSelect(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IssueSelect);
+
+// ---- completion queue -----------------------------------------------
+
+/**
+ * One simulated cycle per iteration at a config-3-like load: pop the
+ * due completions, issue four (three short latencies and a load that
+ * misses to memory one time in eight), and squash the 20 youngest on
+ * every 16th cycle. Items are completions.
+ */
+struct CompletionLoad
+{
+    static constexpr Cycle maxLatency = 138;   // 1 + 2 + 15 + 120
+
+    static Cycle
+    latency(SeqNum seq, unsigned k)
+    {
+        if (k < 3)
+            return 1 + (seq & 3);
+        return (seq & 7) == 0 ? maxLatency : 3;
+    }
+
+    std::vector<DynInst> insts = std::vector<DynInst>(4096);
+    SeqNum seq = 1;
+    Cycle now = 0;
+};
+
+void
+BM_CompletionQueue(benchmark::State &state)
+{
+    CompletionLoad load;
+    CompletionQueue q(CompletionLoad::maxLatency);
+    std::uint64_t completed = 0;
+    for (auto _ : state) {
+        ++load.now;
+        completed += q.popDue(load.now, [](DynInst *inst) {
+            benchmark::DoNotOptimize(inst);
+        });
+        for (unsigned k = 0; k < 4; ++k) {
+            DynInst &inst = load.insts[load.seq % load.insts.size()];
+            inst.seq = load.seq++;
+            q.schedule(&inst, load.now + CompletionLoad::latency(inst.seq, k),
+                       load.now);
+        }
+        if ((load.now & 15) == 0)
+            q.squashFrom(load.seq - 20);
+    }
+    state.counters["examined_per_completion"] =
+        static_cast<double>(q.examined()) /
+        static_cast<double>(std::max<std::uint64_t>(q.popped(), 1));
+    state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+}
+BENCHMARK(BM_CompletionQueue);
+
+/** The same load on the binary heap the calendar queue replaced. */
+void
+BM_CompletionHeap(benchmark::State &state)
+{
+    struct Event
+    {
+        Cycle when;
+        SeqNum seq;
+        DynInst *inst;
+    };
+    const auto later = [](const Event &a, const Event &b) {
+        return a.when > b.when || (a.when == b.when && a.seq > b.seq);
+    };
+    CompletionLoad load;
+    std::vector<Event> heap;
+    std::uint64_t completed = 0;
+    for (auto _ : state) {
+        ++load.now;
+        while (!heap.empty() && heap.front().when <= load.now) {
+            std::pop_heap(heap.begin(), heap.end(), later);
+            benchmark::DoNotOptimize(heap.back().inst);
+            heap.pop_back();
+            ++completed;
+        }
+        for (unsigned k = 0; k < 4; ++k) {
+            DynInst &inst = load.insts[load.seq % load.insts.size()];
+            inst.seq = load.seq++;
+            heap.push_back(
+                {load.now + CompletionLoad::latency(inst.seq, k),
+                 inst.seq, &inst});
+            std::push_heap(heap.begin(), heap.end(), later);
+        }
+        if ((load.now & 15) == 0) {
+            const SeqNum from = load.seq - 20;
+            std::erase_if(heap,
+                          [from](const Event &e) { return e.seq >= from; });
+            std::make_heap(heap.begin(), heap.end(), later);
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+}
+BENCHMARK(BM_CompletionHeap);
+
+// ---- op generation --------------------------------------------------
+
+/**
+ * Committed-path op generation over the whole suite: each iteration
+ * generates one op, cycling through the 26 workloads in 4096-op runs
+ * and trimming a fetch-like 256-op window, so the time per iteration
+ * is ns per generated op. formula_evals_per_op counts the log1p calls
+ * the geometric tables fell back to.
+ */
+void
+BM_Generate(benchmark::State &state)
+{
+    std::vector<std::unique_ptr<SyntheticWorkload>> ws;
+    for (const std::string &name : specAllNames())
+        ws.push_back(makeSpecWorkload(name));
+    std::vector<std::uint64_t> next(ws.size(), 0);
+    std::size_t cur = 0;
+    unsigned run = 0;
+    for (auto _ : state) {
+        SyntheticWorkload &w = *ws[cur];
+        const std::uint64_t idx = next[cur]++;
+        benchmark::DoNotOptimize(w.op(idx).effAddr);
+        if (idx >= 256)
+            w.discardBefore(idx - 256);
+        if (++run == 4096) {
+            run = 0;
+            cur = cur + 1 == ws.size() ? 0 : cur + 1;
+        }
+    }
+    std::uint64_t evals = 0;
+    std::uint64_t ops = 0;
+    for (const auto &w : ws) {
+        evals += w->formulaEvals();
+        ops += w->generatedOps();
+    }
+    state.counters["formula_evals_per_op"] =
+        static_cast<double>(evals) /
+        static_cast<double>(std::max<std::uint64_t>(ops, 1));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Generate);
 
 // ---- empty tick vs. skipped tick ------------------------------------
 

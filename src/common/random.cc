@@ -1,31 +1,18 @@
 /**
  * @file
- * xoshiro256** generator implementation.
+ * Out-of-line parts of the random-number layer: byte hashing, the
+ * geometric formula and GeometricTable construction.
  */
 
 #include "common/random.hh"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+
+#include "common/logging.hh"
 
 namespace dmdc
 {
-
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-mixHash(std::uint64_t v)
-{
-    std::uint64_t state = v;
-    return splitmix64(state);
-}
 
 std::uint64_t
 hashBytes(const void *data, std::size_t len, std::uint64_t seed)
@@ -39,56 +26,6 @@ hashBytes(const void *data, std::size_t len, std::uint64_t seed)
     return mixHash(h);
 }
 
-namespace
-{
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
-Rng::Rng(std::uint64_t seed_value)
-{
-    seed(seed_value);
-}
-
-void
-Rng::seed(std::uint64_t seed_value)
-{
-    std::uint64_t sm = seed_value;
-    for (auto &word : s)
-        word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::range(std::uint64_t bound)
-{
-    assert(bound > 0);
-    // Rejection-free multiply-shift; bias is negligible for
-    // simulation-scale bounds.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
-}
-
 std::int64_t
 Rng::between(std::int64_t lo, std::int64_t hi)
 {
@@ -97,21 +34,14 @@ Rng::between(std::int64_t lo, std::int64_t hi)
         range(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
-double
-Rng::uniform()
+unsigned
+geometricFromDraw(double mean, std::uint64_t m)
 {
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
+    const double p = 1.0 / mean;
+    const double u = static_cast<double>(m) * 0x1.0p-53;
+    const double v = std::log1p(-u) / std::log1p(-p);
+    const double clamped = std::fmin(v + 1.0, mean * 16.0);
+    return static_cast<unsigned>(clamped < 1.0 ? 1.0 : clamped);
 }
 
 unsigned
@@ -119,12 +49,58 @@ Rng::geometric(double mean)
 {
     if (mean <= 1.0)
         return 1;
-    const double p = 1.0 / mean;
-    // Inverse-transform sampling, clamped to keep tails sane.
-    const double u = uniform();
-    const double v = std::log1p(-u) / std::log1p(-p);
-    const double clamped = std::fmin(v + 1.0, mean * 16.0);
-    return static_cast<unsigned>(clamped < 1.0 ? 1.0 : clamped);
+    return geometricFromDraw(mean, next() >> 11);
+}
+
+GeometricTable::GeometricTable(double mean) : mean_(mean)
+{
+    if (mean <= 1.0)
+        return;
+    // Bisection window around the closed-form seed: far wider than the
+    // rounding error of either the seed or the formula.
+    constexpr std::uint64_t window = std::uint64_t{1} << 16;
+    const double log_q = std::log1p(-1.0 / mean);
+    std::uint64_t prev = 0;   // value(prev) < the next step's value
+    for (unsigned r = 2; geometricFromDraw(mean, cap - 1) >= r; ++r) {
+        const auto reaches = [&](std::uint64_t m) {
+            return geometricFromDraw(mean, m) >= r;
+        };
+        // Invariant: !reaches(lo) && reaches(hi).
+        std::uint64_t lo = prev;
+        std::uint64_t hi = cap - 1;
+        if (reaches(lo)) {
+            bounds_.push_back(lo);   // two steps at one draw
+            continue;
+        }
+        const double guess =
+            0x1.0p53 * -std::expm1(static_cast<double>(r - 1) * log_q);
+        if (guess > static_cast<double>(prev + window) &&
+            guess + static_cast<double>(window) <
+                static_cast<double>(cap - 1)) {
+            const auto g = static_cast<std::uint64_t>(guess);
+            if (!reaches(g - window) && reaches(g + window)) {
+                lo = g - window;
+                hi = g + window;
+            }
+        }
+        while (hi - lo > 1) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            (reaches(mid) ? hi : lo) = mid;
+        }
+        bounds_.push_back(hi);
+        prev = hi;
+    }
+    bounds_.push_back(cap);
+    bounds_.push_back(~std::uint64_t{0});
+    if (bounds_.size() > 0xffff)
+        panic("geometric table for mean %g has %zu thresholds", mean,
+              bounds_.size());
+    for (std::size_t b = 0; b < firstAbove_.size(); ++b) {
+        firstAbove_[b] = static_cast<std::uint16_t>(
+            std::upper_bound(bounds_.begin(), bounds_.end(),
+                             std::uint64_t{b} << bucketShift) -
+            bounds_.begin());
+    }
 }
 
 } // namespace dmdc

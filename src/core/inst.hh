@@ -75,6 +75,9 @@ struct DynInst
      */
     std::uint32_t waiters = noWaitLink;
     std::uint32_t waitNext[3] = {noWaitLink, noWaitLink, noWaitLink};
+    /** Next completion of the same cycle, ascending seq (linked only
+     *  while scheduled in the CompletionQueue). */
+    DynInst *completionNext = nullptr;
 
     // ---- branch state ----
     BranchPrediction pred;

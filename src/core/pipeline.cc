@@ -52,6 +52,21 @@ namespace
 /** Cycles with no commit after which the simulator declares deadlock. */
 constexpr Cycle deadlockThreshold = 200000;
 
+/**
+ * The longest issue-to-completion distance doIssue can schedule: a
+ * load that misses to memory (one address-generation cycle plus the
+ * full hierarchy), or the slowest functional unit.
+ */
+Cycle
+maxCompletionLatency(const CoreParams &p)
+{
+    const FuPoolParams &fu = p.fu;
+    return std::max<Cycle>({1 + Cycle{p.mem.l1d.latency} +
+                                p.mem.l2.latency + p.mem.memLatency,
+                            fu.intAluLat, fu.intMultLat, fu.intDivLat,
+                            fu.fpAddLat, fu.fpMultLat, fu.fpDivLat});
+}
+
 } // namespace
 
 Pipeline::Pipeline(const CoreParams &params, Workload &workload)
@@ -72,6 +87,7 @@ Pipeline::Pipeline(const CoreParams &params, Workload &workload)
       fuPool_(params.fu),
       lsq_(params.lsq),
       fetchQueue_(params.fetchQueueSize),
+      completions_(maxCompletionLatency(params)),
       root_("sim")
 {
     regStats(root_);
@@ -232,17 +248,6 @@ Pipeline::unlinkWaits(DynInst *inst)
     storeData_.clear(inst->robSlot);
 }
 
-void
-Pipeline::scheduleCompletion(DynInst *inst, Cycle when)
-{
-    completions_.push_back(Event{when, inst->seq, inst});
-    std::push_heap(completions_.begin(), completions_.end(),
-                   [](const Event &a, const Event &b) {
-                       return a.when > b.when ||
-                           (a.when == b.when && a.seq > b.seq);
-                   });
-}
-
 unsigned
 Pipeline::tick()
 {
@@ -313,8 +318,7 @@ Pipeline::nextEventCycle() const
         if (c > now_ && (wake == 0 || c < wake))
             wake = c;
     };
-    if (!completions_.empty())
-        consider(completions_.front().when);
+    consider(completions_.nextEvent(now_));
     if (!fetchQueue_.empty())
         consider(fetchQueue_.front()->fetchReadyCycle);
     consider(fetch_.stallUntil());
@@ -552,18 +556,8 @@ Pipeline::doIssue()
 unsigned
 Pipeline::doCompletions()
 {
-    auto cmp = [](const Event &a, const Event &b) {
-        return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-    };
-    unsigned completed = 0;
-    while (!completions_.empty() && completions_.front().when <= now_) {
-        std::pop_heap(completions_.begin(), completions_.end(), cmp);
-        Event ev = completions_.back();
-        completions_.pop_back();
-        completeInst(ev.inst);
-        ++completed;
-    }
-    return completed;
+    return completions_.popDue(
+        now_, [this](DynInst *inst) { completeInst(inst); });
 }
 
 void
@@ -753,14 +747,7 @@ Pipeline::squashFrom(SeqNum from_seq)
 {
     // Structures holding raw pointers are purged before the ROB frees
     // the instructions.
-    std::erase_if(completions_, [from_seq](const Event &ev) {
-        return ev.seq >= from_seq;
-    });
-    std::make_heap(completions_.begin(), completions_.end(),
-                   [](const Event &a, const Event &b) {
-                       return a.when > b.when ||
-                           (a.when == b.when && a.seq > b.seq);
-                   });
+    completions_.squashFrom(from_seq);
     std::erase_if(retryLoads_, [from_seq](const DynInst *inst) {
         return inst->seq >= from_seq;
     });

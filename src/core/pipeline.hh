@@ -14,6 +14,7 @@
 #include "branch/predictor.hh"
 #include "common/object_pool.hh"
 #include "common/stats.hh"
+#include "core/completion_queue.hh"
 #include "core/fetch.hh"
 #include "core/fu_pool.hh"
 #include "core/issue_queue.hh"
@@ -175,6 +176,9 @@ class Pipeline
      */
     std::uint64_t selectExamined() const { return selectExamined_; }
 
+    /** The completion queue, read-only: its work counters. */
+    const CompletionQueue &completions() const { return completions_; }
+
     /** The wakeup structures, exposed read-only for equivalence tests. */
     struct WakeupView
     {
@@ -193,18 +197,15 @@ class Pipeline
     StatGroup &statRoot() { return root_; }
 
   private:
-    struct Event
-    {
-        Cycle when;
-        SeqNum seq;
-        DynInst *inst;
-    };
-
     bool producerDone(const DynInst *producer, SeqNum pseq) const;
     void registerWaits(DynInst *inst);
     void wakeWaiters(DynInst *producer);
     void unlinkWaits(DynInst *inst);
-    void scheduleCompletion(DynInst *inst, Cycle when);
+    void
+    scheduleCompletion(DynInst *inst, Cycle when)
+    {
+        completions_.schedule(inst, when, now_);
+    }
     unsigned doFetch();
     unsigned doDispatch();
     unsigned doIssue();
@@ -242,7 +243,7 @@ class Pipeline
 
     Cycle now_ = 0;
     RingBuffer<DynInst *> fetchQueue_;
-    std::vector<Event> completions_;    ///< min-heap on (when, seq)
+    CompletionQueue completions_;
     std::vector<DynInst *> retryLoads_; ///< rejected loads awaiting retry
     unsigned dcachePortsUsed_ = 0;
     std::uint64_t selectExamined_ = 0;

@@ -88,14 +88,14 @@ RecentStoreBuffer::push(Addr a, unsigned size)
 
 Addr
 RecentStoreBuffer::sample(Rng &rng, unsigned &size_out,
-                          double mean_back) const
+                          GeometricTable &back_dist) const
 {
     if (count_ == 0) {
         size_out = 8;
         return invalidAddr;
     }
     // Geometric bias toward the most recent entry.
-    unsigned back = rng.geometric(mean_back);
+    unsigned back = back_dist.sample(rng);
     if (back > count_)
         back = count_;
     const unsigned idx =

@@ -96,10 +96,11 @@ class RecentStoreBuffer
     /**
      * A recent store address, geometrically biased toward the newest
      * (short store-to-load distances dominate in real code).
-     * @param mean_back mean distance (in stores) from the newest entry
+     * @param back_dist draws the distance (in stores) from the newest
+     *        entry
      */
     Addr sample(Rng &rng, unsigned &size_out,
-                double mean_back = 4.0) const;
+                GeometricTable &back_dist) const;
 
   private:
     struct Entry { Addr addr; unsigned size; };

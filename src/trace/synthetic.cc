@@ -5,6 +5,7 @@
 
 #include "trace/synthetic.hh"
 
+#include <algorithm>
 #include <array>
 
 #include "common/bitutils.hh"
@@ -51,7 +52,8 @@ struct SyntheticWorkload::DynState
           hotLoad(hotBaseAddr, (Addr{1} << p.hotLog2) / 2),
           hotStore(hotBaseAddr + (Addr{1} << p.hotLog2) / 2,
                    (Addr{1} << p.hotLog2) / 2),
-          recentStores(48)
+          recentStores(48),
+          depDist(p.depDistMean)
     {
         recentInt.fill(1);
         recentIntAlu.fill(1);
@@ -102,6 +104,12 @@ struct SyntheticWorkload::DynState
     HotRegion hotLoad;
     HotRegion hotStore;
     RecentStoreBuffer recentStores;
+
+    // Per-op geometric draws, one table per mean.
+    GeometricTable depDist;             ///< register dependence distance
+    GeometricTable aluDist{2.0};        ///< index-arithmetic chains
+    GeometricTable sharedBack{4.0};     ///< shared-store distance
+    GeometricTable nearBack{1.5};       ///< near-store distance
 };
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params)
@@ -307,12 +315,15 @@ SyntheticWorkload::generateNext()
     auto &d = *dyn_;
     const StaticSlot &slot = st.slots[d.curSlot];
 
-    MicroOp op;
+    if (windowEnd_ - windowBase_ == window_.size())
+        growWindow();
+    MicroOp &op = window_[windowEnd_ & (window_.size() - 1)];
+    op = MicroOp{};
     op.pc = codeBaseAddr + Addr{d.curSlot} * instBytes;
     op.cls = slot.cls;
 
     auto pick_int_src = [&]() -> RegIndex {
-        unsigned back = d.rng.geometric(params_.depDistMean);
+        unsigned back = d.depDist.sample(d.rng);
         if (back > d.recentInt.size())
             back = static_cast<unsigned>(d.recentInt.size());
         const unsigned idx =
@@ -321,7 +332,7 @@ SyntheticWorkload::generateNext()
         return d.recentInt[idx];
     };
     auto pick_fp_src = [&]() -> RegIndex {
-        unsigned back = d.rng.geometric(params_.depDistMean);
+        unsigned back = d.depDist.sample(d.rng);
         if (back > d.recentFp.size())
             back = static_cast<unsigned>(d.recentFp.size());
         const unsigned idx =
@@ -339,7 +350,7 @@ SyntheticWorkload::generateNext()
     };
     auto pick_alu_src = [&]() -> RegIndex {
         // Short index-arithmetic chains: recent ALU results only.
-        unsigned back = d.rng.geometric(2.0);
+        unsigned back = d.aluDist.sample(d.rng);
         if (back > d.recentIntAlu.size())
             back = static_cast<unsigned>(d.recentIntAlu.size());
         const unsigned idx = (d.intAluHead +
@@ -391,7 +402,8 @@ SyntheticWorkload::generateNext()
             d.chaseReg = op.dst;
         } else if (shared) {
             unsigned ssize = 8;
-            const Addr a = d.recentStores.sample(d.rng, ssize);
+            const Addr a =
+                d.recentStores.sample(d.rng, ssize, d.sharedBack);
             op.src1 = pick_int_src();
             fp_dst = params_.fp && d.rng.chance(0.7);
             op.memSize = d.rng.chance(0.8)
@@ -403,7 +415,7 @@ SyntheticWorkload::generateNext()
             // store, different quad word.
             unsigned ssize = 8;
             const Addr store_addr =
-                d.recentStores.sample(d.rng, ssize, 1.5);
+                d.recentStores.sample(d.rng, ssize, d.nearBack);
             fp_dst = params_.fp && d.rng.chance(0.7);
             op.src1 = pick_alu_src();
             op.memSize = fp_dst ? 8 : (d.rng.chance(0.5) ? 8 : 4);
@@ -547,7 +559,28 @@ SyntheticWorkload::generateNext()
     if (d.curSlot >= st.slots.size())
         d.curSlot = 0;
 
-    window_.push_back(op);
+    ++windowEnd_;
+}
+
+void
+SyntheticWorkload::growWindow()
+{
+    // Holds the default 256-entry ROB plus the fetch queue; larger
+    // windows double it once or twice.
+    constexpr std::size_t initialSlots = 512;
+    std::vector<MicroOp> grown(
+        window_.empty() ? initialSlots : 2 * window_.size());
+    for (std::uint64_t i = windowBase_; i < windowEnd_; ++i)
+        grown[i & (grown.size() - 1)] = window_[i & (window_.size() - 1)];
+    window_.swap(grown);
+}
+
+std::uint64_t
+SyntheticWorkload::formulaEvals() const
+{
+    const DynState &d = *dyn_;
+    return d.depDist.formulaEvals() + d.aluDist.formulaEvals() +
+        d.sharedBack.formulaEvals() + d.nearBack.formulaEvals();
 }
 
 const MicroOp &
@@ -558,9 +591,9 @@ SyntheticWorkload::op(std::uint64_t index)
               params_.name.c_str(),
               static_cast<unsigned long long>(index),
               static_cast<unsigned long long>(windowBase_));
-    while (windowBase_ + window_.size() <= index)
+    while (windowEnd_ <= index)
         generateNext();
-    return window_[index - windowBase_];
+    return window_[index & (window_.size() - 1)];
 }
 
 MicroOp
@@ -656,10 +689,8 @@ SyntheticWorkload::wrongPathOp(Addr pc, std::uint64_t salt)
 void
 SyntheticWorkload::discardBefore(std::uint64_t index)
 {
-    while (windowBase_ < index && !window_.empty()) {
-        window_.pop_front();
-        ++windowBase_;
-    }
+    if (index > windowBase_)
+        windowBase_ = std::min(index, windowEnd_);
 }
 
 } // namespace dmdc

@@ -16,7 +16,6 @@
 #define DMDC_TRACE_SYNTHETIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,19 +107,34 @@ class SyntheticWorkload : public Workload
 
     const WorkloadParams &params() const { return params_; }
 
+    /** Correct-path micro-ops generated so far. */
+    std::uint64_t generatedOps() const { return windowEnd_; }
+
+    /**
+     * log1p evaluations the per-op geometric draws have made (see
+     * GeometricTable::formulaEvals()), a deterministic work counter.
+     */
+    std::uint64_t formulaEvals() const;
+
   private:
     struct Static;             // static program representation
     struct DynState;           // trace-generation state
 
     void buildStaticProgram();
     void generateNext();       // append one correct-path op to window_
+    void growWindow();
 
     WorkloadParams params_;
     std::unique_ptr<Static> static_;
     std::unique_ptr<DynState> dyn_;
 
-    std::deque<MicroOp> window_;
+    /**
+     * Ops [windowBase_, windowEnd_) in a power-of-two ring: op i lives
+     * in slot i & (size - 1). Full rings double.
+     */
+    std::vector<MicroOp> window_;
     std::uint64_t windowBase_ = 0;
+    std::uint64_t windowEnd_ = 0;
 };
 
 } // namespace dmdc

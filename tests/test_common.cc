@@ -149,6 +149,86 @@ TEST(Rng, GeometricMeanApproximation)
         EXPECT_EQ(rng.geometric(0.5), 1u);
 }
 
+/**
+ * GeometricTable must reproduce Rng::geometric exactly: same value
+ * and same number of next() draws, for every mean the generator uses
+ * (1.0 draws nothing; 3.5 and 5.0 are the suite's depDistMean; 2.0,
+ * 4.0 and 1.5 are the ALU-chain and recent-store distances).
+ */
+const double kTableMeans[] = {1.0, 1.5, 2.0, 3.5, 4.0, 5.0};
+
+TEST(GeometricTable, MatchesFormulaOnRandomDraws)
+{
+    for (double mean : kTableMeans) {
+        GeometricTable table(mean);
+        Rng by_table(0x5eed);
+        Rng by_formula(0x5eed);
+        for (int i = 0; i < 10000000; ++i) {
+            const unsigned got = table.sample(by_table);
+            const unsigned want = by_formula.geometric(mean);
+            if (got != want) {
+                FAIL() << "mean " << mean << " draw " << i << ": table "
+                       << got << ", formula " << want;
+            }
+        }
+        // Same draws consumed: the generators are still in lockstep.
+        EXPECT_EQ(by_table.next(), by_formula.next()) << "mean " << mean;
+        // Fallbacks (guard bands and the tail past the cap) are rare.
+        EXPECT_LT(table.formulaEvals(), 2 * 10000000 / 256)
+            << "mean " << mean;
+    }
+}
+
+TEST(GeometricTable, MatchesFormulaAroundEveryThreshold)
+{
+    constexpr std::uint64_t g = GeometricTable::guardBand;
+    for (double mean : kTableMeans) {
+        GeometricTable table(mean);
+        const std::vector<std::uint64_t> t = table.thresholds();
+        if (mean <= 1.0) {
+            EXPECT_TRUE(t.empty());
+            EXPECT_EQ(table.valueAt(12345), 1u);
+            continue;
+        }
+        ASSERT_FALSE(t.empty()) << "mean " << mean;
+        for (std::size_t k = 0; k < t.size(); ++k) {
+            // T_k is the first draw whose value reaches k + 2.
+            EXPECT_GE(geometricFromDraw(mean, t[k]), k + 2);
+            EXPECT_LT(geometricFromDraw(mean, t[k] - 1), k + 2);
+            for (std::int64_t off :
+                 {std::int64_t{0}, std::int64_t{1}, std::int64_t{-1},
+                  static_cast<std::int64_t>(g),
+                  -static_cast<std::int64_t>(g),
+                  static_cast<std::int64_t>(g + 1),
+                  -static_cast<std::int64_t>(g + 1)}) {
+                const std::uint64_t m = t[k] + off;
+                EXPECT_EQ(table.valueAt(m), geometricFromDraw(mean, m))
+                    << "mean " << mean << " T_" << k << " offset " << off;
+            }
+        }
+        // Past the cap and at the ends of the draw range.
+        for (std::uint64_t m :
+             {std::uint64_t{0}, GeometricTable::cap - 1,
+              GeometricTable::cap, (std::uint64_t{1} << 53) - 1}) {
+            EXPECT_EQ(table.valueAt(m), geometricFromDraw(mean, m))
+                << "mean " << mean << " m " << m;
+        }
+    }
+}
+
+TEST(GeometricTable, MeanAtMostOneDrawsNothing)
+{
+    GeometricTable table(0.5);
+    Rng a(3);
+    Rng b(3);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(table.sample(a), 1u);
+        EXPECT_EQ(b.geometric(0.5), 1u);
+    }
+    EXPECT_EQ(a.next(), b.next());
+    EXPECT_EQ(table.formulaEvals(), 0u);
+}
+
 TEST(Rng, MixHashIsStable)
 {
     EXPECT_EQ(mixHash(12345), mixHash(12345));

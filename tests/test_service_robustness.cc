@@ -555,6 +555,14 @@ TEST(ServiceRobustness, OrphanedCampaignIsCancelledAfterGrace)
     opts.workers = 1;
     opts.campaign.useCache = false;
     opts.orphanGraceMs = 250;
+    // The daemon's per-run wall-clock budget (it becomes each run's
+    // SimOptions::timeoutMs; run specs carry no timeout of their own)
+    // bounds the holder run below, so the harness's drain at the end
+    // does not wait out all 20M instructions. 2 s stays far above the
+    // 250 ms grace plus the 200 ms reaper tick. Timeouts are
+    // permanent; no retry re-runs it.
+    opts.campaign.timeoutMs = 2000;
+    opts.campaign.maxRetries = 0;
 
     DaemonHarness h(opts);
     std::string err;

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "trace/address_stream.hh"
 #include "trace/branch_model.hh"
@@ -74,9 +75,10 @@ TEST(RecentStoreBuffer, SampleReturnsPushedAddresses)
 {
     Rng rng(9);
     RecentStoreBuffer buf(8);
+    GeometricTable back(4.0);
     EXPECT_TRUE(buf.empty());
     unsigned size = 0;
-    EXPECT_EQ(buf.sample(rng, size), invalidAddr);
+    EXPECT_EQ(buf.sample(rng, size, back), invalidAddr);
 
     std::set<Addr> pushed;
     for (Addr a = 0x100; a < 0x100 + 16 * 8; a += 8) {
@@ -84,7 +86,7 @@ TEST(RecentStoreBuffer, SampleReturnsPushedAddresses)
         pushed.insert(a);
     }
     for (int i = 0; i < 200; ++i) {
-        const Addr a = buf.sample(rng, size);
+        const Addr a = buf.sample(rng, size, back);
         EXPECT_TRUE(pushed.count(a));
         EXPECT_EQ(size, 4u);
     }
@@ -261,6 +263,118 @@ TEST(SyntheticWorkload, UnknownBenchmarkIsFatal)
 {
     EXPECT_EXIT((void)makeSpecWorkload("quake3"),
                 ::testing::ExitedWithCode(1), ".*unknown.*");
+}
+
+// ---- stream identity --------------------------------------------------
+
+/** FNV-1a over a MicroOp's fields (not its padding bytes). */
+std::uint64_t
+fnvOp(std::uint64_t h, const MicroOp &op)
+{
+    const std::uint64_t fields[] = {
+        op.pc,
+        static_cast<std::uint64_t>(op.cls),
+        static_cast<std::uint16_t>(op.dst),
+        static_cast<std::uint16_t>(op.src1),
+        static_cast<std::uint16_t>(op.src2),
+        static_cast<std::uint16_t>(op.src3),
+        op.effAddr,
+        op.memSize,
+        static_cast<std::uint64_t>(op.branch),
+        op.taken ? 1u : 0u,
+        op.targetPc,
+        op.nextPc,
+    };
+    for (std::uint64_t f : fields) {
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (f >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+struct StreamDigest
+{
+    const char *benchmark;
+    std::uint64_t committed;   ///< first 100k op() results
+    std::uint64_t wrongPath;   ///< 20k wrongPathOp(pc, salt) probes
+};
+
+// Captured before the generator moved to table-driven geometric draws
+// and a ring window; every later generator must reproduce them.
+const StreamDigest kStreamDigests[] = {
+    {"bzip2", 0x93135e2c9f79f54dull, 0xd92e59bad935276bull},
+    {"crafty", 0xc69347af765ad3e4ull, 0xf935ef50334b71daull},
+    {"eon", 0x956aee2774414b2full, 0xdc5558a2d57eeb28ull},
+    {"gap", 0xeb0c5d4e9489b377ull, 0xa2d90ef33ed4cfa0ull},
+    {"gcc", 0x8b33287eeb1bebfbull, 0xd719f953a4e5c42aull},
+    {"gzip", 0xe65c6fcd0f904441ull, 0xc0af6749d1881d0cull},
+    {"mcf", 0x1c58c20234406914ull, 0xccd9a4e4d56601a2ull},
+    {"parser", 0x10d866e9929f1007ull, 0x88958427db7281eaull},
+    {"perlbmk", 0x81cf61a483dcadbfull, 0x8c19560624b19e44ull},
+    {"twolf", 0x3e49329d9cc2f6f1ull, 0xd9a73d78c2128f40ull},
+    {"vortex", 0x0cbf004a747e15a7ull, 0x1a70b7c61c21b512ull},
+    {"vpr", 0x2610de500dd87494ull, 0x916dff7b9630b1fbull},
+    {"ammp", 0x78ec0c1574b894f8ull, 0x41a7ee43da6c7869ull},
+    {"applu", 0xfcd330769e0ef1c0ull, 0x3c35f59242db2322ull},
+    {"apsi", 0xff804c5b813f3a39ull, 0xdf521259acb3bca8ull},
+    {"art", 0x01b2e0a8b3af6886ull, 0xc25efc0a309b2988ull},
+    {"equake", 0x0bf27196993cbdb9ull, 0x787f65f9f9aa70e0ull},
+    {"facerec", 0x53e7e8f62ea0abd2ull, 0x27a2b04fd7ba8b61ull},
+    {"fma3d", 0xcf0dae6dae9e999cull, 0xda399121e13b0cccull},
+    {"galgel", 0x61f6e1f82e1b0b8full, 0xf5e7dc547023be12ull},
+    {"lucas", 0xb706b2505252cc2aull, 0xda89bb82a81e22deull},
+    {"mesa", 0x78c7daec55f80608ull, 0x1188c5019a99cd8eull},
+    {"mgrid", 0xfe4f1f21163a1acaull, 0xa779199fb29636caull},
+    {"sixtrack", 0x6d100c2c593e9cdeull, 0xc3ec62f99d20dac4ull},
+    {"swim", 0xc09197600a10747full, 0x919e3e4d49322c99ull},
+    {"wupwise", 0xd496bc1ac9867f7bull, 0xd59fd5078fcd1547ull},
+};
+
+TEST(StreamIdentity, CoversTheWholeSuite)
+{
+    std::set<std::string> pinned;
+    for (const StreamDigest &d : kStreamDigests)
+        pinned.insert(d.benchmark);
+    EXPECT_EQ(pinned, std::set<std::string>(specAllNames().begin(),
+                                            specAllNames().end()));
+}
+
+/**
+ * The first 100k correct-path ops of every workload, read the way
+ * fetch reads them: in order, with the window trimmed 256 ops behind
+ * and an occasional re-read 200 ops back (a squash refetch).
+ */
+TEST(StreamIdentity, CommittedPathMatchesPinnedDigests)
+{
+    for (const StreamDigest &d : kStreamDigests) {
+        auto w = makeSpecWorkload(d.benchmark);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint64_t i = 0; i < 100000; ++i) {
+            h = fnvOp(h, w->op(i));
+            if (i % 1000 == 999)
+                h = fnvOp(h, w->op(i - 200));
+            if (i >= 256)
+                w->discardBefore(i - 256);
+        }
+        EXPECT_EQ(h, d.committed) << d.benchmark;
+    }
+}
+
+TEST(StreamIdentity, WrongPathMatchesPinnedDigests)
+{
+    for (const StreamDigest &d : kStreamDigests) {
+        auto w = makeSpecWorkload(d.benchmark);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+            // Some PCs past the code end exercise the slot wrap.
+            const Addr pc =
+                w->codeBase() + 4 * (mixHash(i) % (w->staticSize() + 16));
+            h = fnvOp(h, w->wrongPathOp(pc, i));
+        }
+        EXPECT_EQ(h, d.wrongPath) << d.benchmark;
+    }
 }
 
 } // namespace

@@ -2,34 +2,22 @@
  * @file
  * The `.dmdc_cache/` storage engine.
  *
- * Before this layer the on-disk run cache was a flat directory that
- * every lookup trusted blindly and every eviction pass re-scanned in
- * full. CacheStore keeps the crash-safe per-entry layout (one
- * CRC-framed JSON file per key, published with an atomic rename,
- * quarantined when damaged) and adds a real index on top:
+ * The directory is the index. Each key is one CRC-framed JSON file
+ * (`<hash>.json`), published with an atomic rename and quarantined to
+ * `quarantine/` when damaged; nothing else is written to the cache
+ * directory and there are no lock files. Content reads never trust
+ * anything but the entry itself: load() opens the file and verifies
+ * its CRC frame, so a process can share the directory with writers it
+ * has never synchronized with. That is what makes one warm cache
+ * safely shareable by shard workers, bench binaries, and the
+ * dmdc_serve daemon at the same time.
  *
- *  - an append-only log (`index.log`) of self-validating records
- *    ({"v":1,"op":"put|touch|del","file":...,"bytes":...,"crc":...})
- *    written under a shared flock so concurrent processes interleave
- *    whole records, never bytes;
- *  - in-memory running totals (live entries, live bytes, LRU order by
- *    record sequence) replayed from the log once at open — `--cache-
- *    max-mb` eviction is an O(live) walk of the in-memory state with
- *    zero directory iteration; the directory is scanned only when the
- *    index is missing or damaged (rebuild);
- *  - lock-file-coordinated compaction: when the log accumulates many
- *    dead records, the holder of the exclusive lock rewrites it as one
- *    `put` per live entry and renames it into place. Readers detect
- *    the swap by inode change and replay the fresh log; appenders are
- *    excluded by the lock for the (sub-millisecond) rewrite, so no
- *    record is ever lost to a renamed-away file.
- *
- * Content reads never trust the index: load() always opens the entry
- * file and verifies its CRC frame, so a process can share the
- * directory with writers it has never synchronized with (the index
- * self-heals by appending the records it was missing). That is what
- * makes one warm cache safely shareable by shard workers, bench
- * binaries, and the dmdc_serve daemon at the same time.
+ * The `--cache-max-mb` cap is LRU by file mtime: store() and capped
+ * hits stamp the entry's mtime from the fine clock, and evictToCap()
+ * (run after each campaign) scans `*.json` and removes the oldest
+ * entries until the rest fit. Uncapped stores never scan. An
+ * `index.log`/`index.lock` (or `tickets.log`) pair left by an older
+ * build is inert and may be deleted.
  */
 
 #ifndef DMDC_SIM_CACHE_STORE_HH
@@ -38,8 +26,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace dmdc
 {
@@ -51,24 +37,16 @@ namespace dmdc
  */
 constexpr unsigned kCacheFormatVersion = 3;
 
-/** Index log record schema version (independent of the entry format:
- *  an index rebuild is cheap, a cache flush is not). */
-constexpr unsigned kCacheIndexVersion = 1;
-
 /** Knobs of one CacheStore (a strict subset of CampaignConfig). */
 struct CacheStoreConfig
 {
-    /** Directory holding entries, index.log, and quarantine/. Nothing
-     *  is created until the first store or quarantine. */
+    /** Directory holding entries and quarantine/. Nothing is created
+     *  until the first store or quarantine. */
     std::string dir = ".dmdc_cache";
 
-    /** Live-entry byte cap; LRU entries are evicted past it.
-     *  0 = unlimited (and hits skip the recency bookkeeping). */
+    /** Live-entry byte cap enforced by evictToCap(); LRU entries go
+     *  first. 0 = unlimited (and hits skip the mtime touch). */
     std::uint64_t maxBytes = 0;
-
-    /** Caps on quarantine/ (oldest files age out first; 0 = none). */
-    std::size_t quarantineMaxEntries = 32;
-    std::uint64_t quarantineMaxBytes = 8ull * 1024 * 1024;
 };
 
 /** Monotonic operation counters (lifetime of this store instance). */
@@ -80,8 +58,6 @@ struct CacheStoreStats
     std::size_t quarantined = 0; ///< damaged entries set aside
     std::size_t evicted = 0;     ///< entries removed by the byte cap
     std::size_t quarantineEvicted = 0; ///< quarantine files aged out
-    std::size_t indexRebuilds = 0;     ///< full directory scans
-    std::size_t compactions = 0;       ///< index log rewrites
 };
 
 /**
@@ -111,9 +87,9 @@ class CacheStore
     Load load(const std::string &key, std::string &payload);
 
     /**
-     * Publish @p payload under @p key: CRC-framed, written atomically,
-     * recorded in the index. Evicts LRU entries when the byte cap is
-     * exceeded and compacts the index log when it has grown stale.
+     * Publish @p payload under @p key: CRC-framed, written atomically
+     * (two fsyncs: the entry and its directory), its mtime stamped
+     * for LRU. Never evicts; see evictToCap().
      */
     void store(const std::string &key, const std::string &payload);
 
@@ -122,20 +98,17 @@ class CacheStore
     void quarantineKey(const std::string &key, const char *reason);
 
     /**
-     * Evict least-recently-used entries until live bytes fit the cap.
-     * Pure in-memory walk over the index (after catching up on other
-     * processes' appends); never iterates the directory. Returns the
-     * number of entries removed.
+     * Evict entries, oldest mtime first (ties by file name), until
+     * live bytes fit the cap. One directory scan, and none at all
+     * when uncapped; files another process already removed are
+     * skipped. Returns the number of entries this call removed.
      */
     std::size_t evictToCap();
 
-    /** Force an index compaction (normally automatic). False when
-     *  another process holds the compaction lock. */
-    bool compact();
-
-    /** Running totals from the index (catching up first). */
-    std::uint64_t liveBytes();
-    std::size_t liveEntries();
+    /** Totals over the `*.json` entries on disk (0 when the
+     *  directory does not exist). */
+    std::uint64_t liveBytes() const;
+    std::size_t liveEntries() const;
 
     const CacheStoreStats &stats() const { return stats_; }
     const CacheStoreConfig &config() const { return config_; }
@@ -144,40 +117,13 @@ class CacheStore
     std::string entryPath(const std::string &key) const;
 
   private:
-    struct Entry
-    {
-        std::uint64_t bytes = 0;
-        std::uint64_t lastSeq = 0; ///< recency: larger = more recent
-    };
-
-    // All private helpers assume mutex_ is held.
-    void ensureLoaded();
-    void replayIndex();
-    void applyRecord(const std::string &op, const std::string &file,
-                     std::uint64_t bytes);
-    void appendRecord(const char *op, const std::string &file,
-                      std::uint64_t bytes);
-    void catchUp(bool haveExclusiveLock = false);
-    void rebuildIndex();
-    bool compactLocked();
-    void maybeCompact();
-    std::size_t evictLocked();
+    /** Move a damaged entry to quarantine/ and apply its caps. Assumes
+     *  mutex_ is held. */
     void quarantinePath(const std::string &path, const char *reason);
-    void enforceQuarantineCap();
-    std::string indexLogPath() const;
-    std::string indexLockPath() const;
 
     CacheStoreConfig config_;
     CacheStoreStats stats_;
-
     std::mutex mutex_;
-    bool loaded_ = false;
-    std::unordered_map<std::string, Entry> entries_; ///< by file name
-    std::uint64_t liveBytes_ = 0;
-    std::uint64_t seq_ = 0;          ///< records applied so far
-    std::uint64_t appendedSinceCompact_ = 0;
-    std::uint64_t indexReadPos_ = 0; ///< bytes of index.log consumed
-    std::uint64_t indexIno_ = 0;     ///< inode of the replayed log
 };
 
 } // namespace dmdc

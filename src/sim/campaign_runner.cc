@@ -647,8 +647,6 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
     CacheStoreConfig sc;
     sc.dir = config_.cacheDir;
     sc.maxBytes = config_.cacheMaxBytes;
-    sc.quarantineMaxEntries = config_.quarantineMaxEntries;
-    sc.quarantineMaxBytes = config_.quarantineMaxBytes;
     diskStore_ = std::make_unique<CacheStore>(sc);
 }
 

@@ -82,15 +82,6 @@ struct CampaignConfig
     ShardSpec shard;
 
     /**
-     * Caps on .dmdc_cache/quarantine/: corrupt cache entries are set
-     * aside there for post-mortems, but chaos campaigns would grow it
-     * without bound. Oldest entries are evicted first once either cap
-     * is exceeded. 0 = unlimited.
-     */
-    std::size_t quarantineMaxEntries = 32;
-    std::uint64_t quarantineMaxBytes = 8ull * 1024 * 1024;
-
-    /**
      * Campaign-wide verification override (--check): materialized
      * into every run's SimOptions (that doesn't already ask for
      * checking itself) before classification. Checked runs always
@@ -221,9 +212,9 @@ class CampaignRunner
     CampaignStats lastStats_;
     std::uint64_t totalSimulated_ = 0;
 
-    /** Owns the on-disk layout: CRC framing, quarantine, the index
-     *  log, LRU eviction. The runner keeps the SimResult <-> JSON
-     *  translation and key validation. */
+    /** Owns the on-disk layout: CRC framing, quarantine, LRU
+     *  eviction. The runner keeps the SimResult <-> JSON translation
+     *  and key validation. */
     std::unique_ptr<CacheStore> diskStore_;
 
     std::mutex memMutex_;

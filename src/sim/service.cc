@@ -555,10 +555,10 @@ struct ServiceDaemon::Impl
     workerLoop(unsigned w)
     {
         // Each worker owns a single-threaded CampaignRunner over the
-        // shared cache directory: CacheStore instances coordinate via
-        // the index lock exactly as separate processes would, and
-        // cross-campaign dedup is the ticket map's job, not the
-        // runner's memo cache's.
+        // shared cache directory: CacheStore instances share it
+        // exactly as separate processes would (atomic renames, CRC
+        // checks on read), and cross-campaign dedup is the ticket
+        // map's job, not the runner's memo cache's.
         CampaignConfig wc = daemon.options_.campaign;
         wc.jobs = 1;
         wc.shard = ShardSpec{};

@@ -1,22 +1,27 @@
 /**
  * @file
- * Tests of the cache storage engine (sim/cache_store.hh): index-log
- * accounting (running byte totals, no per-operation directory scans),
- * LRU eviction, index rebuild and compaction, and — the part that
- * cannot be faked in-process — two real processes sharing one store:
- * simultaneous same-key writers and a reader racing a compaction must
- * lose no entries and quarantine nothing that isn't corrupt.
+ * Tests of the cache storage engine (sim/cache_store.hh): directory
+ * totals, mtime-LRU eviction, the two-fsync store, the quarantine
+ * caps, inert legacy index files, threads sharing one store, and —
+ * the part that cannot be faked in-process — two real processes
+ * sharing one directory: simultaneous same-key writers and a reader
+ * racing an evictor must see no torn entry and quarantine nothing
+ * that isn't corrupt.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/atomic_file.hh"
 #include "sim/cache_store.hh"
 
 namespace dmdc
@@ -102,12 +107,34 @@ TEST_F(CacheStoreTest, EvictionUsesIndexNotDirectoryScans)
     for (int i = 0; i < 4; ++i)
         store.store("key-" + std::to_string(i),
                     std::string(64, 'p'));
+    store.evictToCap();
 
-    // A 1-byte cap can hold nothing: every store evicts eagerly and
-    // the running totals must agree with the (empty) directory.
+    // A 1-byte cap can hold nothing: one eviction pass empties the
+    // directory, and the totals must agree with it.
     EXPECT_EQ(countEntries(dir_), 0u);
     EXPECT_EQ(store.liveBytes(), 0u);
     EXPECT_GE(store.stats().evicted, 3u);
+}
+
+TEST_F(CacheStoreTest, StoreSyncsEntryAndDirectoryOnly)
+{
+    const bool was = durableSyncEnabled();
+    setDurableSync(true);
+    CacheStore store(storeConfig(dir_));
+    for (int i = 0; i < 3; ++i) {
+        const std::uint64_t before = durableSyncCount();
+        store.store("key-" + std::to_string(i), "payload");
+        // The entry's temp file and the directory's rename entry.
+        EXPECT_EQ(durableSyncCount(), before + 2) << "store " << i;
+    }
+    setDurableSync(was);
+
+    // Nothing but entries: no index, no lock files.
+    for (const auto &e : fs::directory_iterator(dir_)) {
+        EXPECT_TRUE(e.is_regular_file()) << e.path();
+        EXPECT_EQ(e.path().extension(), ".json") << e.path();
+    }
+    EXPECT_EQ(countEntries(dir_), 3u);
 }
 
 TEST_F(CacheStoreTest, LruEvictsOldestFirst)
@@ -131,48 +158,74 @@ TEST_F(CacheStoreTest, LruEvictsOldestFirst)
     EXPECT_EQ(capped.load("mid", out), CacheStore::Load::Miss);
 }
 
-TEST_F(CacheStoreTest, IndexRebuiltAfterDeletion)
+TEST_F(CacheStoreTest, StoreStampsFineClockMtime)
 {
+    // Without fsyncs, back-to-back stores land within one tick of the
+    // kernel's coarse file clock. Their LRU order must still be their
+    // store order, so each store stamps its mtime from the fine clock.
+    const bool was = durableSyncEnabled();
+    setDurableSync(false);
+    CacheStore store(storeConfig(dir_));
+    constexpr int kStores = 8;
+    for (int i = 0; i < kStores; ++i)
+        store.store("key-" + std::to_string(i), "payload");
+    setDurableSync(was);
+
+    fs::file_time_type last = fs::file_time_type::min();
+    for (int i = 0; i < kStores; ++i) {
+        const fs::file_time_type mtime = fs::last_write_time(
+            store.entryPath("key-" + std::to_string(i)));
+        EXPECT_GT(mtime, last) << "store " << i;
+        last = mtime;
+    }
+}
+
+TEST_F(CacheStoreTest, LegacyIndexFilesAreInert)
+{
+    // Older builds kept an index log, its lock file and a daemon
+    // ticket log beside the entries. None of them may confuse a
+    // store, and eviction must never remove them.
     {
         CacheStore store(storeConfig(dir_));
         store.store("key-a", "payload-a");
         store.store("key-b", "payload-b");
     }
-    fs::remove(fs::path(dir_) / "index.log");
+    const char *legacy[] = {"index.log", "index.lock", "tickets.log"};
+    for (const char *name : legacy)
+        std::ofstream(fs::path(dir_) / name) << "{\"v\":1,garbage\n";
 
-    CacheStore fresh(storeConfig(dir_));
+    CacheStore fresh(storeConfig(dir_, /*maxBytes=*/1));
     std::string out;
     EXPECT_EQ(fresh.load("key-a", out), CacheStore::Load::Hit);
     EXPECT_EQ(out, "payload-a");
+    EXPECT_EQ(fresh.load("key-b", out), CacheStore::Load::Hit);
     EXPECT_EQ(fresh.liveEntries(), 2u);
-    EXPECT_EQ(fresh.stats().indexRebuilds, 1u);
+
+    EXPECT_EQ(fresh.evictToCap(), 2u);
+    EXPECT_EQ(fresh.liveEntries(), 0u);
+    EXPECT_EQ(fresh.liveBytes(), 0u);
+    for (const char *name : legacy)
+        EXPECT_TRUE(fs::exists(fs::path(dir_) / name)) << name;
+    EXPECT_EQ(fresh.stats().quarantined, 0u);
 }
 
-TEST_F(CacheStoreTest, CompactionPreservesEntries)
+TEST_F(CacheStoreTest, MissingDirectoryIsEmpty)
 {
-    CacheStore store(storeConfig(dir_));
-    for (int i = 0; i < 10; ++i)
-        store.store("key-" + std::to_string(i),
-                    "payload-" + std::to_string(i));
-    const auto before = fs::file_size(fs::path(dir_) / "index.log");
-    ASSERT_TRUE(store.compact());
-    EXPECT_LE(fs::file_size(fs::path(dir_) / "index.log"), before);
-
-    CacheStore fresh(storeConfig(dir_));
-    EXPECT_EQ(fresh.liveEntries(), 10u);
+    CacheStore store(storeConfig(dir_, /*maxBytes=*/1));
+    EXPECT_EQ(store.liveEntries(), 0u);
+    EXPECT_EQ(store.liveBytes(), 0u);
+    EXPECT_EQ(store.evictToCap(), 0u);
     std::string out;
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(fresh.load("key-" + std::to_string(i), out),
-                  CacheStore::Load::Hit);
-        EXPECT_EQ(out, "payload-" + std::to_string(i));
-    }
+    EXPECT_EQ(store.load("key-a", out), CacheStore::Load::Miss);
+    // Probes create nothing.
+    EXPECT_FALSE(fs::exists(dir_));
 }
 
 TEST_F(CacheStoreTest, SiblingInstanceSeesStores)
 {
     // Two in-process instances model two processes politely taking
-    // turns: writes through one must become visible to the other via
-    // the index log, with no directory rescans.
+    // turns: writes through one are visible to the other at once,
+    // because the directory is the only shared state.
     CacheStore a(storeConfig(dir_));
     CacheStore b(storeConfig(dir_));
     a.store("key-a", "payload-a");
@@ -214,22 +267,109 @@ TEST_F(CacheStoreTest, DamagedEntryQuarantined)
     EXPECT_EQ(fresh.load("key-a", out), CacheStore::Load::Miss);
 }
 
+TEST_F(CacheStoreTest, QuarantineCapAgesOutOldestFiles)
+{
+    // 33 damaged tiny entries, each a minute older than the next:
+    // the 32-file cap keeps every corpse but the oldest.
+    CacheStore store(storeConfig(dir_));
+    fs::create_directories(dir_);
+    const auto now = fs::file_time_type::clock::now();
+    constexpr int kDamaged = 33;
+    for (int i = 0; i < kDamaged; ++i) {
+        const std::string path = store.entryPath("key-" +
+                                                 std::to_string(i));
+        std::ofstream(path) << "ruined";
+        fs::last_write_time(path,
+                            now - std::chrono::minutes(kDamaged - i));
+    }
+    std::string out;
+    for (int i = kDamaged - 1; i >= 0; --i) {
+        EXPECT_EQ(store.load("key-" + std::to_string(i), out),
+                  CacheStore::Load::Corrupt);
+    }
+    const fs::path quarantine = fs::path(dir_) / "quarantine";
+    EXPECT_EQ(store.stats().quarantined, 33u);
+    EXPECT_EQ(store.stats().quarantineEvicted, 1u);
+    EXPECT_EQ(countEntries(quarantine.string()), 32u);
+    EXPECT_FALSE(fs::exists(
+        quarantine / fs::path(store.entryPath("key-0")).filename()));
+    EXPECT_TRUE(fs::exists(
+        quarantine / fs::path(store.entryPath("key-1")).filename()));
+}
+
+TEST_F(CacheStoreTest, OversizedCorpseLeavesQuarantineEmpty)
+{
+    // One damaged entry above the 8 MiB byte cap is aged out at once.
+    CacheStore store(storeConfig(dir_));
+    fs::create_directories(dir_);
+    std::ofstream(store.entryPath("big"))
+        << std::string(8 * 1024 * 1024 + 1, 'x');
+    std::string out;
+    EXPECT_EQ(store.load("big", out), CacheStore::Load::Corrupt);
+    EXPECT_EQ(store.stats().quarantineEvicted, 1u);
+    EXPECT_TRUE(fs::is_empty(fs::path(dir_) / "quarantine"));
+}
+
+TEST_F(CacheStoreTest, ThreadsShareOneStore)
+{
+    // Campaign workers share their runner's store: four threads
+    // store, load and evict through one capped instance. No load may
+    // see a torn or foreign entry, and nothing is quarantined.
+    const bool was = durableSyncEnabled();
+    setDurableSync(false);
+    CacheStore store(storeConfig(dir_, /*maxBytes=*/600));
+    constexpr int kThreads = 4;
+    constexpr int kIters = 40;
+    std::vector<int> bad(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&store, &bad, t] {
+            std::string out;
+            for (int i = 0; i < kIters; ++i) {
+                const std::string key = "key-" + std::to_string(i % 6);
+                const std::string payload = "payload-" + key;
+                store.store(key, payload);
+                const CacheStore::Load r = store.load(key, out);
+                if (r == CacheStore::Load::Corrupt ||
+                    (r == CacheStore::Load::Hit && out != payload))
+                    ++bad[t];
+                store.evictToCap();
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    setDurableSync(was);
+
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(bad[t], 0) << "thread " << t;
+    EXPECT_EQ(store.stats().quarantined, 0u);
+    EXPECT_EQ(store.stats().stored,
+              static_cast<std::size_t>(kThreads * kIters));
+    EXPECT_LE(store.liveBytes(), 600u);
+}
+
 // ---- real multi-process concurrency ----------------------------------
 
-/** Run @p child in a forked process; return its exit status (-1 on
- *  infrastructure failure). The child must _exit(), never return
- *  through gtest. */
+/** Start @p child in a forked process and return its pid at once,
+ *  so parent and child really run concurrently (-1 on failure). The
+ *  child must _exit(), never return through gtest. */
 template <typename Fn>
-int
-runForked(Fn child)
+pid_t
+startForked(Fn child)
 {
     const pid_t pid = fork();
-    if (pid < 0)
-        return -1;
     if (pid == 0)
         child(); // must _exit()
+    return pid;
+}
+
+/** Exit status of the startForked() child @p pid (-1 on failure). */
+int
+waitForked(pid_t pid)
+{
     int status = 0;
-    if (waitpid(pid, &status, 0) != pid)
+    if (pid < 0 || waitpid(pid, &status, 0) != pid)
         return -1;
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -261,12 +401,13 @@ TEST_F(CacheStoreTest, TwoProcessSameKeyWriters)
         return store.stats().quarantined == 0 ? 0 : 4;
     };
 
-    const int child_status = runForked([&] {
+    const pid_t child = startForked([&] {
         CacheStore store(storeConfig(dir));
         _exit(hammer(store));
     });
     CacheStore store(storeConfig(dir));
     const int parent_status = hammer(store);
+    const int child_status = waitForked(child);
 
     EXPECT_EQ(child_status, 0);
     EXPECT_EQ(parent_status, 0);
@@ -282,13 +423,14 @@ TEST_F(CacheStoreTest, TwoProcessSameKeyWriters)
     EXPECT_EQ(fresh.stats().quarantined, 0u);
 }
 
-TEST_F(CacheStoreTest, ReaderSurvivesConcurrentCompaction)
+TEST_F(CacheStoreTest, ReaderSurvivesConcurrentEviction)
 {
-    // Child compacts the index in a loop while the parent keeps
-    // storing and loading: every key must stay readable throughout
-    // (never Corrupt, and at the end, no entry lost).
+    // Child evicts in a loop under a small cap while the parent keeps
+    // storing and loading: an entry may vanish (a miss) but no load
+    // may ever see a torn one, and nothing is quarantined.
     const std::string dir = dir_;
     constexpr int kKeys = 16;
+    constexpr std::uint64_t kCap = 4 * 60; // ~4 of the 16 entries
     auto keyOf = [](int i) { return "key-" + std::to_string(i); };
     auto payloadOf = [](int i) {
         return "payload-" + std::to_string(i);
@@ -299,18 +441,18 @@ TEST_F(CacheStoreTest, ReaderSurvivesConcurrentCompaction)
             store.store(keyOf(i), payloadOf(i));
     }
 
-    const int child_status = runForked([&] {
-        CacheStore store(storeConfig(dir));
-        std::string out;
-        for (int iter = 0; iter < 40; ++iter) {
-            store.compact();
-            for (int i = 0; i < kKeys; ++i) {
-                if (store.load(keyOf(i), out) ==
-                    CacheStore::Load::Corrupt)
-                    _exit(2);
-            }
-        }
-        _exit(0);
+    // The child evicts until the parent drops the stop file (or a
+    // generous bound, so a dead parent cannot leave it spinning).
+    const fs::path stop = dir + ".stop";
+    fs::remove(stop);
+    const pid_t child = startForked([&] {
+        CacheStore store(storeConfig(dir, kCap));
+        std::size_t evicted = 0;
+        for (int iter = 0; iter < 200000 && !fs::exists(stop); ++iter)
+            evicted += store.evictToCap();
+        _exit(store.stats().quarantined != 0 ? 2
+              : evicted == 0                 ? 3
+                                             : 0);
     });
 
     CacheStore store(storeConfig(dir));
@@ -318,21 +460,22 @@ TEST_F(CacheStoreTest, ReaderSurvivesConcurrentCompaction)
     for (int iter = 0; iter < 40; ++iter) {
         store.store(keyOf(iter % kKeys), payloadOf(iter % kKeys));
         for (int i = 0; i < kKeys; ++i) {
-            EXPECT_NE(store.load(keyOf(i), out),
-                      CacheStore::Load::Corrupt);
+            const CacheStore::Load r = store.load(keyOf(i), out);
+            EXPECT_NE(r, CacheStore::Load::Corrupt);
+            if (r == CacheStore::Load::Hit) {
+                EXPECT_EQ(out, payloadOf(i));
+            }
         }
     }
-    EXPECT_EQ(child_status, 0);
+    std::ofstream(stop).put('\n');
+    EXPECT_EQ(waitForked(child), 0);
+    fs::remove(stop);
+    EXPECT_EQ(store.stats().quarantined, 0u);
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "quarantine"));
 
-    CacheStore fresh(storeConfig(dir));
-    EXPECT_EQ(fresh.liveEntries(),
-              static_cast<std::size_t>(kKeys));
-    for (int i = 0; i < kKeys; ++i) {
-        EXPECT_EQ(fresh.load(keyOf(i), out), CacheStore::Load::Hit)
-            << "entry " << i << " lost";
-        EXPECT_EQ(out, payloadOf(i));
-    }
-    EXPECT_EQ(fresh.stats().quarantined, 0u);
+    CacheStore capped(storeConfig(dir, kCap));
+    capped.evictToCap();
+    EXPECT_LE(capped.liveBytes(), kCap);
 }
 
 } // namespace

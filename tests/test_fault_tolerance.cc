@@ -587,55 +587,6 @@ TEST_F(FaultTolerance, CacheCapEvictsLru)
     EXPECT_EQ(countFiles(dir), 0u);
 }
 
-TEST_F(FaultTolerance, QuarantineCapAgesOutOldestFiles)
-{
-    const std::vector<SimOptions> runs = {
-        quickOptions("gzip", "baseline"),
-        quickOptions("swim", "baseline"),
-        quickOptions("vpr", "baseline"),
-    };
-    {
-        CampaignRunner runner(cachedConfig());
-        ASSERT_TRUE(runner.runChecked(runs).allOk());
-    }
-    // Damage every cache entry so the next campaign quarantines all
-    // three.
-    const fs::path dir = scratch_ / "cache";
-    for (const auto &de : fs::directory_iterator(dir)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != ".json")
-            continue;
-        std::ofstream os(de.path(), std::ios::trunc);
-        os << "ruined";
-    }
-
-    CampaignConfig cfg = cachedConfig();
-    cfg.quarantineMaxEntries = 1;
-    CampaignRunner runner(cfg);
-    ASSERT_TRUE(runner.runChecked(runs).allOk());
-    EXPECT_EQ(runner.lastStats().quarantined, 3u);
-    // The cap held: only the newest corpse survives, the rest aged
-    // out oldest-first and were counted.
-    EXPECT_LE(countFiles(dir / "quarantine"), 1u);
-    EXPECT_GE(runner.lastStats().quarantineEvicted, 2u);
-
-    // A byte cap of 1 clears even that last file on the next
-    // quarantine event.
-    for (const auto &de : fs::directory_iterator(dir)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != ".json")
-            continue;
-        std::ofstream os(de.path(), std::ios::trunc);
-        os << "ruined again";
-    }
-    CampaignConfig tight = cachedConfig();
-    tight.quarantineMaxBytes = 1;
-    CampaignRunner again(tight);
-    ASSERT_TRUE(again.runChecked(runs).allOk());
-    EXPECT_EQ(countFiles(dir / "quarantine"), 0u);
-    EXPECT_GE(again.lastStats().quarantineEvicted, 1u);
-}
-
 // ---- resume over the run cache -------------------------------------
 
 TEST_F(FaultTolerance, ResumeMatchesUninterruptedRunBitForBit)

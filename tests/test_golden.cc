@@ -18,6 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "sim/cache_store.hh"
+#include "sim/campaign_runner.hh"
 #include "sim/simulator.hh"
 
 namespace dmdc
@@ -95,6 +104,54 @@ const GoldenRun kGolden[] = {
      597412.10528000002},
 };
 
+/**
+ * 64-bit FNV-1a of each kGolden row's run-cache entry payload (the
+ * key plus every SimResult field and all 14 energy components, as
+ * CacheStore::load returns it), in kGolden order. The journal pins
+ * only ipc and cycles per run; these pin every cached counter,
+ * byte for byte. Captured at commit 3c61555.
+ */
+const std::uint64_t kPayloadDigest[] = {
+    0x573f8dac24107e6full, // gzip baseline
+    0x5dbedb39c6a12e7dull, // gzip yla
+    0x616f39c632a1868cull, // gzip dmdc-global
+    0x7b2b94ecec802e77ull, // gzip dmdc-local
+    0x21b8090c91c2d651ull, // gzip dmdc-queue
+    0xcc58f4d825b90272ull, // gzip age-table
+    0xd52a00907daef759ull, // swim baseline
+    0x44174291d7e452b7ull, // swim yla
+    0x5be0099488f0f70cull, // swim dmdc-global
+    0xbcaf1c83d454a6daull, // swim dmdc-local
+    0xefb72b7a0609df95ull, // swim dmdc-queue
+    0xea6bc7462ebf4314ull, // swim age-table
+    0xe828de0f2c1dec57ull, // gzip bloom-yla
+    0x05f8ac6c24fc7ce0ull, // swim bloom-yla
+};
+static_assert(std::size(kPayloadDigest) == std::size(kGolden));
+
+SimOptions
+goldenOptions(const GoldenRun &g)
+{
+    SimOptions opt;
+    opt.benchmark = g.benchmark;
+    opt.scheme = g.scheme;
+    opt.configLevel = 2;
+    opt.warmupInsts = 10000;
+    opt.runInsts = 60000;
+    return opt;
+}
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 class GoldenValues : public ::testing::TestWithParam<GoldenRun>
 {
 };
@@ -102,13 +159,7 @@ class GoldenValues : public ::testing::TestWithParam<GoldenRun>
 TEST_P(GoldenValues, MatchesSeedCapture)
 {
     const GoldenRun &g = GetParam();
-    SimOptions opt;
-    opt.benchmark = g.benchmark;
-    opt.scheme = g.scheme;
-    opt.configLevel = 2;
-    opt.warmupInsts = 10000;
-    opt.runInsts = 60000;
-    const SimResult r = runSimulation(opt);
+    const SimResult r = runSimulation(goldenOptions(g));
 
     EXPECT_EQ(r.scheme, g.scheme);
     EXPECT_EQ(r.instructions, g.instructions);
@@ -129,6 +180,34 @@ TEST_P(GoldenValues, MatchesSeedCapture)
     near(g.energyLqCam, r.energy.lqCam);
     near(g.energyYla, r.energy.yla);
     near(g.energyChecking, r.energy.checking);
+}
+
+TEST(GoldenPayload, CacheEntryPayloadGolden)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+        ("dmdc_golden_cache_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+
+    std::vector<SimOptions> runs;
+    for (const GoldenRun &g : kGolden)
+        runs.push_back(goldenOptions(g));
+    CampaignConfig cfg;
+    cfg.cacheDir = dir.string();
+    CampaignRunner runner(cfg);
+    ASSERT_TRUE(runner.runChecked(runs).allOk());
+
+    CacheStoreConfig sc;
+    sc.dir = dir.string();
+    CacheStore store(sc);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        std::string payload;
+        ASSERT_EQ(store.load(cacheKey(runs[i]), payload),
+                  CacheStore::Load::Hit);
+        EXPECT_EQ(fnv1a64(payload), kPayloadDigest[i])
+            << runs[i].benchmark << " / " << runs[i].scheme;
+    }
+    fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(

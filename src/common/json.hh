@@ -60,9 +60,9 @@ bool parseJson(const std::string &text, JsonValue &out,
 /**
  * Escape @p s for embedding in a JSON string literal, reversibly:
  * quotes and backslashes are backslash-escaped, control characters
- * become \n/\r/\t/\u00XX. (The journal writers intentionally use a
- * lossy space-substitution instead — journal bytes are contractual —
- * so this is for protocol payloads, not journals.)
+ * become \n/\r/\t/\u00XX. Journals, service frames and trace files
+ * all escape through it, so every string they carry reads back as
+ * written.
  */
 std::string jsonEscapeString(const std::string &s);
 

@@ -34,7 +34,6 @@
 #include "common/trace_sink.hh"
 #include "lsq/policy/registry.hh"
 #include "sim/fault_injector.hh"
-#include "sim/run_scheduler.hh"
 
 namespace dmdc
 {
@@ -49,6 +48,15 @@ elapsedMs(Clock::time_point since)
 {
     return std::chrono::duration<double, std::milli>(
         Clock::now() - since).count();
+}
+
+/** Estimated cost of one run: its instruction budget (simulation time
+ *  is linear in it). Double, so huge budgets cannot wrap. */
+double
+runBudget(const SimOptions &opt)
+{
+    return static_cast<double>(opt.warmupInsts) +
+           static_cast<double>(opt.runInsts);
 }
 
 /** Interned-once trace identities for the campaign runner layer. */
@@ -67,25 +75,6 @@ runnerTrace()
 {
     static RunnerTrace ids;
     return ids;
-}
-
-/** Escape @p s for embedding in a JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out.push_back(' ');
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
 }
 
 /**
@@ -523,8 +512,8 @@ flushCampaignJournal()
                 os << ",\"ipc\":" << jsonDoubleToken(rec.ipc)
                    << ",\"cycles\":" << rec.cycles;
             } else {
-                os << ",\"category\":\"" << jsonEscape(rec.category)
-                   << "\",\"error\":\"" << jsonEscape(rec.error) << '"';
+                os << ",\"category\":\"" << jsonEscapeString(rec.category)
+                   << "\",\"error\":\"" << jsonEscapeString(rec.error) << '"';
             }
             os << ",\"attempts\":" << rec.attempts
                << ",\"wall_ms\":" << jsonDoubleToken(rec.wallMs)
@@ -637,6 +626,13 @@ cacheKey(const SimOptions &opt)
        << "|table=" << opt.tableEntriesOverride
        << "|queue=" << opt.queueEntries;
     return os.str();
+}
+
+unsigned
+defaultConcurrency()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 // ---- CampaignRunner --------------------------------------------------
@@ -942,31 +938,24 @@ CampaignRunner::runChecked(const std::vector<SimOptions> &runs_in,
                 cr.outcomes[p.index] = oc;
             };
 
-        // The scheduler decides placement (see run_scheduler.hh):
-        // runs land on per-worker queues keyed by journal identity,
-        // and each worker drains its queue, then steals from the
-        // others, until no unclaimed run remains.
-        std::vector<ScheduledRun> items;
-        items.reserve(pending.size());
-        for (std::size_t s = 0; s < pending.size(); ++s) {
-            const SimOptions &opt = runs[pending[s].index];
-            items.push_back(
-                {s,
-                 journalIdentity(opt.benchmark, opt.scheme,
-                                 opt.configLevel),
-                 static_cast<double>(opt.warmupInsts) +
-                     static_cast<double>(opt.runInsts)});
-        }
-        RunScheduler scheduler;
-        scheduler.seed(std::move(items), jobs);
+        // Longest budget first, so a long run never starts last and
+        // stretches the tail; equal budgets keep campaign order. Every
+        // pending run has a distinct cache key (followers were split
+        // off above), so any worker may claim any run.
+        std::stable_sort(pending.begin(), pending.end(),
+                         [&runs](const Pending &a, const Pending &b) {
+                             return runBudget(runs[a.index]) >
+                                    runBudget(runs[b.index]);
+                         });
+        std::atomic<std::size_t> next{0};
         std::vector<std::thread> workers;
         workers.reserve(jobs);
         for (unsigned w = 0; w < jobs; ++w) {
             workers.emplace_back([&, w] {
                 traceSetThreadName("worker-" + std::to_string(w));
-                ScheduledRun item;
-                while (scheduler.next(w, item))
-                    execute_run(pending[item.index]);
+                for (std::size_t s = next.fetch_add(1);
+                     s < pending.size(); s = next.fetch_add(1))
+                    execute_run(pending[s]);
             });
         }
         for (std::thread &t : workers)

@@ -5,10 +5,10 @@
  *
  * A campaign is an ordered list of independent (benchmark, config,
  * scheme) simulation runs. CampaignRunner fans the list out across
- * RunScheduler worker threads while preserving the serial result
- * ordering and bit-identical SimResults (each Simulator owns all of
- * its state, so runs are deterministic functions of their
- * SimOptions).
+ * worker threads, which claim runs longest budget first from one
+ * shared list, while preserving the serial result ordering and
+ * bit-identical SimResults (each Simulator owns all of its state, so
+ * runs are deterministic functions of their SimOptions).
  *
  * Runs whose SimOptions are canonically fingerprintable (no attached
  * observers, no tweak callback) are additionally memoized in an
@@ -45,6 +45,10 @@
 
 namespace dmdc
 {
+
+/** Worker count for "all cores": hardware_concurrency(), clamped to
+ *  at least 1. */
+unsigned defaultConcurrency();
 
 /** Knobs of a CampaignRunner (see also bench --jobs / --no-cache). */
 struct CampaignConfig
@@ -183,7 +187,7 @@ class CampaignRunner
 
     const CampaignConfig &config() const { return config_; }
 
-    /** Accounting of the most recent run() call. */
+    /** Accounting of the most recent runChecked() call. */
     const CampaignStats &lastStats() const { return lastStats_; }
 
     /** Simulations actually executed over this runner's lifetime. */

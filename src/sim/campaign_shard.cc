@@ -13,7 +13,6 @@
 
 #include "common/json.hh"
 #include "common/random.hh"
-#include "sim/run_scheduler.hh"
 
 namespace dmdc
 {
@@ -29,30 +28,6 @@ journalIdentity(const std::string &benchmark, const std::string &scheme,
     id += std::to_string(config);
     return id;
 }
-
-namespace
-{
-
-/** Same escaping the journal writer applies to string fields. */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out.push_back(' ');
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 // ---- shard spec ------------------------------------------------------
 
@@ -131,6 +106,81 @@ campaignFingerprint(const std::vector<SimOptions> &runs)
 
 // ---- partition -------------------------------------------------------
 
+namespace
+{
+
+/** A group of runs sharing one journal identity. */
+struct RunGroup
+{
+    std::string key;
+    std::uint64_t hash = 0; ///< deterministic tie-breaker
+    double cost = 0.0;      ///< summed member cost
+    std::vector<std::size_t> members; ///< indices into the run list
+};
+
+/** Group @p runs by journal identity, accumulating instruction-budget
+ *  cost per group. Order of first appearance. */
+std::vector<RunGroup>
+groupRunsByIdentity(const std::vector<SimOptions> &runs)
+{
+    std::vector<RunGroup> groups;
+    std::unordered_map<std::string, std::size_t> byKey;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const SimOptions &opt = runs[i];
+        const std::string key = journalIdentity(
+            opt.benchmark, opt.scheme, opt.configLevel);
+        auto it = byKey.find(key);
+        if (it == byKey.end()) {
+            it = byKey.emplace(key, groups.size()).first;
+            groups.push_back(
+                {key, hashBytes(key.data(), key.size()), 0.0, {}});
+        }
+        RunGroup &g = groups[it->second];
+        // Simulation cost is linear in the instruction budget; the
+        // budget is the best machine-independent estimate available
+        // before running.
+        g.cost += static_cast<double>(opt.warmupInsts) +
+                  static_cast<double>(opt.runInsts);
+        g.members.push_back(i);
+    }
+    return groups;
+}
+
+/**
+ * Longest-processing-time greedy: big groups first, each placed on
+ * the least-loaded of @p bins. Returns one bin per group. The (hash,
+ * key) tie-breakers make the order, and therefore the whole
+ * assignment, a pure function of the group list.
+ */
+std::vector<unsigned>
+lptAssignGroups(const std::vector<RunGroup> &groups, unsigned bins)
+{
+    std::vector<unsigned> assignment(groups.size(), 0);
+    std::vector<std::size_t> order(groups.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const RunGroup &ga = groups[a];
+                  const RunGroup &gb = groups[b];
+                  return std::tie(gb.cost, ga.hash, ga.key) <
+                         std::tie(ga.cost, gb.hash, gb.key);
+              });
+    std::vector<double> load(bins, 0.0);
+    for (std::size_t idx : order) {
+        std::size_t target = 0;
+        for (std::size_t s = 1; s < load.size(); ++s) {
+            if (load[s] < load[target])
+                target = s;
+        }
+        load[target] += groups[idx].cost;
+        assignment[idx] = static_cast<unsigned>(target);
+    }
+    return assignment;
+}
+
+} // namespace
+
 std::vector<unsigned>
 shardAssignment(const std::vector<SimOptions> &runs, unsigned shardCount)
 {
@@ -141,9 +191,7 @@ shardAssignment(const std::vector<SimOptions> &runs, unsigned shardCount)
     // Group by journal identity so repeated (benchmark, scheme,
     // config) triples — legal within one campaign — can never be split
     // across shards, which would break the merger's disjointness
-    // invariant. The grouping + LPT greedy live in run_scheduler.cc
-    // now, shared with the thread-level scheduler; the assignment is
-    // still byte-for-byte the one earlier releases computed.
+    // invariant.
     const std::vector<RunGroup> groups = groupRunsByIdentity(runs);
     const std::vector<unsigned> bins =
         lptAssignGroups(groups, shardCount);
@@ -174,8 +222,8 @@ writeJournalEntry(std::ostream &os, const JournalEntry &e)
         os << ",\"ipc\":" << e.ipcToken
            << ",\"cycles\":" << e.cyclesToken;
     } else {
-        os << ",\"category\":\"" << escapeJson(e.category)
-           << "\",\"error\":\"" << escapeJson(e.error) << '"';
+        os << ",\"category\":\"" << jsonEscapeString(e.category)
+           << "\",\"error\":\"" << jsonEscapeString(e.error) << '"';
     }
     os << '}';
 }

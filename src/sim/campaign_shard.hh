@@ -93,9 +93,9 @@ std::vector<unsigned> shardAssignment(const std::vector<SimOptions> &runs,
                                       unsigned shardCount);
 
 /**
- * Journal identity of one run ("benchmark|scheme|config"): the
- * co-location key shared by the shard partitioner, the run
- * scheduler, and the dmdc_serve dedup map.
+ * Journal identity of one run ("benchmark|scheme|config"): the key
+ * the shard partitioner keeps on one shard and the merger checks for
+ * disjointness. (In-process dedup keys on cacheKey() instead.)
  */
 std::string journalIdentity(const std::string &benchmark,
                             const std::string &scheme, unsigned config);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -26,7 +27,6 @@
 #include "common/logging.hh"
 #include "sim/fault_injector.hh"
 #include "sim/run_error.hh"
-#include "sim/run_scheduler.hh"
 #include "common/trace_sink.hh"
 
 namespace dmdc
@@ -426,7 +426,7 @@ struct ServiceDaemon::Impl
     {
         SimOptions opt;
         std::string key;      ///< cacheKey(opt)
-        std::string identity; ///< journal identity (co-location key)
+        std::string identity; ///< journal identity (for log lines)
         int activeRefs = 0;   ///< references from live campaigns
         bool done = false;
         bool ran = false;     ///< executed (vs. skipped/cancelled)
@@ -466,10 +466,9 @@ struct ServiceDaemon::Impl
     std::unordered_map<std::string, std::size_t> ticketByKey;
     std::unordered_map<std::string, Campaign> campaigns;
     unsigned nextCampaignId = 1;
-    std::size_t queued = 0; ///< tickets submitted, not yet claimed
+    std::deque<std::size_t> queue; ///< ticket indices, not yet claimed
     bool draining = false;  ///< stop accepted; skip queued tickets
 
-    RunScheduler sched;
     std::vector<std::thread> workers;
     std::vector<std::unique_ptr<Conn>> connections;
     std::unordered_set<int> liveFds; ///< open connection sockets
@@ -567,24 +566,19 @@ struct ServiceDaemon::Impl
         traceSetThreadName("serve-worker-" + std::to_string(w));
 
         for (;;) {
-            ScheduledRun item;
+            std::size_t idx = 0;
             {
                 std::unique_lock<std::mutex> lock(m);
                 workCv.wait(lock, [&] {
-                    return queued > 0 || daemon.stopRequested_.load();
+                    return !queue.empty() ||
+                        daemon.stopRequested_.load();
                 });
-                if (queued == 0)
+                if (queue.empty())
                     return; // stopping and drained
-                --queued;
+                idx = queue.front();
+                queue.pop_front();
             }
-            if (!sched.next(w, item)) {
-                // A stale size hint made the claim miss; put it back
-                // and retry (the mutex round-trip resynchronizes).
-                std::lock_guard<std::mutex> lock(m);
-                ++queued;
-                continue;
-            }
-            executeTicket(runner, item.index);
+            executeTicket(runner, idx);
         }
     }
 
@@ -622,13 +616,7 @@ struct ServiceDaemon::Impl
                 // The cancelled claim raced a fresh submit that wants
                 // this ticket after all: requeue it rather than
                 // publishing a skip nobody asked for.
-                ScheduledRun item;
-                item.index = idx;
-                item.identity = t->identity;
-                item.cost = static_cast<double>(
-                    t->opt.warmupInsts + t->opt.runInsts);
-                sched.submit(std::move(item));
-                ++queued;
+                queue.push_back(idx);
                 workCv.notify_one();
                 return;
             }
@@ -688,13 +676,7 @@ struct ServiceDaemon::Impl
                 t.outcome = RunOutcome{};
                 traceInstantArg(serviceTrace().cat,
                                 serviceTrace().revive, it->second);
-                ScheduledRun item;
-                item.index = it->second;
-                item.identity = t.identity;
-                item.cost = static_cast<double>(
-                    t.opt.warmupInsts + t.opt.runInsts);
-                sched.submit(std::move(item));
-                ++queued;
+                queue.push_back(it->second);
                 workCv.notify_one();
             }
             return it->second;
@@ -710,13 +692,7 @@ struct ServiceDaemon::Impl
         ticketByKey.emplace(key, idx);
         ++stats.unique;
         traceInstantArg(serviceTrace().cat, serviceTrace().submit, idx);
-        ScheduledRun item;
-        item.index = idx;
-        item.identity = tickets[idx]->identity;
-        item.cost = static_cast<double>(
-            tickets[idx]->opt.warmupInsts + tickets[idx]->opt.runInsts);
-        sched.submit(std::move(item));
-        ++queued;
+        queue.push_back(idx);
         workCv.notify_one();
         return idx;
     }
@@ -772,12 +748,12 @@ struct ServiceDaemon::Impl
                                       "daemon is shutting down",
                                       /*retryable=*/true, 1000);
             const std::size_t cap = daemon.options_.maxQueuedTickets;
-            if (cap != 0 && queued + opts.size() > cap) {
+            if (cap != 0 && queue.size() + opts.size() > cap) {
                 ++stats.overloaded;
                 return errorReplyCode(
                     "overloaded",
                     "submit queue is full (" +
-                        std::to_string(queued) + " queued, cap " +
+                        std::to_string(queue.size()) + " queued, cap " +
                         std::to_string(cap) + ")",
                     /*retryable=*/true, 1000);
             }
@@ -1182,11 +1158,8 @@ ServiceDaemon::start(std::string &err)
     }
     impl_->listenFd = fd;
 
-    unsigned n = options_.workers
-        ? options_.workers : std::thread::hardware_concurrency();
-    if (n == 0)
-        n = 2;
-    impl_->sched.seed({}, n);
+    const unsigned n = options_.workers
+        ? options_.workers : defaultConcurrency();
 
     impl_->workers.reserve(n);
     for (unsigned w = 0; w < n; ++w)

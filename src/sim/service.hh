@@ -3,8 +3,8 @@
  * Campaign service mode: the dmdc_serve daemon and its client.
  *
  * A daemon binds a Unix-domain socket and multiplexes campaigns from
- * any number of concurrent clients onto one shared work-stealing
- * worker pool. Every submitted run is deduplicated by its cache key
+ * any number of concurrent clients onto one shared FIFO run queue
+ * and worker pool. Every submitted run is deduplicated by its cache key
  * into a RunTicket: when two clients submit overlapping (benchmark,
  * scheme, config) work, the overlap is simulated exactly once and
  * both campaigns share the result. Per-campaign journals are

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests of the parallel campaign engine: determinism of parallel
- * execution versus serial, memoized run-cache behavior (in-process
- * and on-disk), and the cache-bypass rules for observer/tweak runs.
+ * execution versus serial, exactly-once claiming and longest-first
+ * start order, memoized run-cache behavior (in-process and on-disk),
+ * and the cache-bypass rules for observer/tweak runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <vector>
@@ -14,7 +16,6 @@
 #include "lsq/lsq_unit.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_runner.hh"
-#include "sim/run_scheduler.hh"
 
 namespace dmdc
 {
@@ -151,6 +152,74 @@ TEST_F(CampaignParallel, ParallelMatchesSerialElementwise)
         EXPECT_EQ(parallel_res[i].benchmark, runs[i].benchmark);
         expectIdentical(serial_res[i], parallel_res[i]);
     }
+}
+
+TEST_F(CampaignParallel, ContendedWorkersRunEachRunExactlyOnce)
+{
+    // Uncacheable runs (a tweak callback) never dedup, so every one
+    // must be claimed by exactly one of the four workers: the tweak
+    // runs once per simulation and counts it.
+    constexpr std::size_t kRuns = 64;
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<unsigned>> calls(kRuns);
+        std::vector<SimOptions> runs;
+        for (std::size_t i = 0; i < kRuns; ++i) {
+            SimOptions opt;
+            opt.benchmark = i % 2 ? "gzip" : "mcf";
+            opt.warmupInsts = 0;
+            opt.runInsts = 200 + 50 * (i % 3);
+            std::atomic<unsigned> *counter = &calls[i];
+            opt.tweak = [counter](CoreParams &) {
+                counter->fetch_add(1);
+            };
+            runs.push_back(opt);
+        }
+        CampaignRunner runner(config(/*jobs=*/4, /*use_cache=*/true));
+        const CampaignResult cr = runner.runChecked(runs);
+        ASSERT_EQ(runner.lastStats().simulated, kRuns);
+        for (std::size_t i = 0; i < kRuns; ++i) {
+            ASSERT_EQ(calls[i].load(), 1u)
+                << "round " << round << ": run " << i
+                << " lost or run twice";
+            ASSERT_TRUE(cr.outcomes[i].ok());
+            EXPECT_EQ(cr.results[i].benchmark, runs[i].benchmark);
+        }
+    }
+}
+
+TEST_F(CampaignParallel, SerialWorkerStartsLongestBudgetFirst)
+{
+    // One worker starts runs longest instruction budget first; equal
+    // budgets keep campaign order, even when a later run repeats an
+    // earlier (benchmark, scheme, config) triple.
+    struct Spec
+    {
+        const char *benchmark;
+        std::uint64_t warmup;
+        std::uint64_t insts;
+    };
+    const std::vector<Spec> specs{
+        {"gzip", 0, 300},    // 0: budget 300
+        {"mcf", 200, 600},   // 1: budget 800
+        {"gzip", 0, 800},    // 2: budget 800, same triple as 0
+        {"art", 100, 200},   // 3: budget 300
+        {"swim", 0, 1200},   // 4: budget 1200
+    };
+    std::vector<std::size_t> started;
+    std::vector<SimOptions> runs;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SimOptions opt;
+        opt.benchmark = specs[i].benchmark;
+        opt.warmupInsts = specs[i].warmup;
+        opt.runInsts = specs[i].insts;
+        opt.tweak = [&started, i](CoreParams &) { started.push_back(i); };
+        runs.push_back(opt);
+    }
+    CampaignRunner runner(config(/*jobs=*/1, /*use_cache=*/false));
+    const CampaignResult cr = runner.runChecked(runs);
+    for (const RunOutcome &oc : cr.outcomes)
+        ASSERT_TRUE(oc.ok());
+    EXPECT_EQ(started, (std::vector<std::size_t>{4, 1, 2, 0, 3}));
 }
 
 TEST_F(CampaignParallel, CacheHitsSkipSimulationAndMatch)

@@ -162,6 +162,32 @@ TEST(ShardAssignment, SingleShardOwnsEverything)
         EXPECT_EQ(owner, 0u);
 }
 
+// ---- journal model ---------------------------------------------------
+
+TEST(JournalEntry, FailureErrorTextRoundTripsExactly)
+{
+    // Control characters, quotes and backslashes in an error message
+    // must read back as written, not as spaces.
+    JournalEntry e;
+    e.benchmark = "gzip";
+    e.scheme = "yla";
+    e.status = RunStatus::Failed;
+    e.category = "sim-invariant";
+    e.error = "a\nb\t\"q\"\\";
+    std::ostringstream os;
+    os << "{\"version\":3,\"commit\":\"x\",\"results\":[";
+    writeJournalEntry(os, e);
+    os << "\n]}\n";
+
+    ShardJournal j;
+    std::string err;
+    ASSERT_TRUE(parseShardJournal(os.str(), j, err)) << err;
+    ASSERT_EQ(j.entries.size(), 1u);
+    EXPECT_EQ(j.entries[0].error, e.error);
+    EXPECT_EQ(j.entries[0].category, e.category);
+    EXPECT_EQ(j.entries[0].status, RunStatus::Failed);
+}
+
 // ---- sharded execution + merge ---------------------------------------
 
 /**

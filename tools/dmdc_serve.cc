@@ -30,8 +30,8 @@
  *                           checked runs (implies --check=litmus)
  *
  * Clients (dmdc_client) submit campaigns as JSON run lists; the
- * daemon multiplexes every campaign onto one shared work-stealing
- * pool and deduplicates overlapping runs by cache key, so a triple
+ * daemon multiplexes every campaign onto one shared FIFO run queue
+ * and deduplicates overlapping runs by cache key, so a triple
  * submitted by five clients is simulated exactly once. SIGINT/SIGTERM
  * (or a client's shutdown op) drain gracefully: in-flight runs
  * finish, queued work is skipped, and the socket is removed.
@@ -91,7 +91,7 @@ main(int argc, char **argv)
     CliParser cli(argv[0],
                   "Campaign daemon: accepts dmdc_client campaigns on "
                   "a Unix socket, multiplexes them onto one shared "
-                  "work-stealing pool, and deduplicates overlapping "
+                  "run queue and worker pool, and deduplicates overlapping "
                   "runs so each is simulated exactly once.");
     cli.value("socket", &opt.socketPath, "Unix socket path");
     cli.value("workers", &opt.workers,
